@@ -276,7 +276,7 @@ mod tests {
     fn reference(initial: &Grid3<f64>, sweeps: usize) -> Grid3<f64> {
         let mut pair = GridPair::from_initial(initial.clone());
         baseline::seq_sweeps(&mut pair, sweeps);
-        pair.current(sweeps).clone()
+        pair.into_current(sweeps)
     }
 
     fn cfg(team_size: usize, n_teams: usize, upt: usize) -> NumaNodeConfig {

@@ -752,7 +752,7 @@ pub fn serial_reference_op<T: Real, Op: StencilOp<T>>(
 ) -> Grid3<T> {
     let mut pair = GridPair::from_initial(global.clone());
     baseline::seq_sweeps_op(op, &mut pair, sweeps);
-    pair.current(sweeps).clone()
+    pair.into_current(sweeps)
 }
 
 /// Classic-Jacobi form of [`serial_reference_op`].

@@ -157,10 +157,26 @@ impl<T: Real> CompressedGrid<T> {
         SharedGrid::from_raw(self.storage.as_mut_ptr(), self.storage.dims())
     }
 
-    /// Extract the logical domain at the current displacement into a plain
-    /// grid (verification helper).
+    /// Extract the logical domain at the current displacement into a
+    /// fresh plain grid; [`CompressedGrid::copy_to`] without the
+    /// allocation.
     pub fn to_grid(&self) -> Grid3<T> {
         let mut out = Grid3::zeroed(self.logical);
+        self.copy_to(&mut out);
+        out
+    }
+
+    /// Write the logical domain at the current displacement into `out`
+    /// — e.g. back into the grid the state was built from.
+    ///
+    /// # Panics
+    /// Panics if `out.dims()` is not [`CompressedGrid::logical_dims`].
+    pub fn copy_to(&self, out: &mut Grid3<T>) {
+        assert_eq!(
+            out.dims(),
+            self.logical,
+            "copy_to requires the logical dims"
+        );
         for z in 0..self.logical.nz {
             for y in 0..self.logical.ny {
                 let (px, py, pz) = self.physical(0, y, z);
@@ -169,7 +185,6 @@ impl<T: Real> CompressedGrid<T> {
                 out.row_mut(y, z).copy_from_slice(src);
             }
         }
-        out
     }
 
     /// Memory footprint in bytes; compare with `2 * logical` for the
@@ -194,6 +209,9 @@ mod tests {
         }
         let back = cg.to_grid();
         assert_eq!(back.as_slice(), init.as_slice());
+        let mut into = Grid3::filled(init.dims(), -1.0);
+        cg.copy_to(&mut into);
+        assert_eq!(into.as_slice(), init.as_slice());
     }
 
     #[test]

@@ -122,6 +122,32 @@ impl<T: Real> Grid3<T> {
         }
     }
 
+    /// Copy the one-cell boundary shell of `src` — every cell outside
+    /// [`Region3::interior_of`] — leaving the interior untouched (same
+    /// dims required). Costs two planes, two rows per plane and two
+    /// cells per row instead of the whole grid.
+    pub fn copy_shell_from(&mut self, src: &Grid3<T>) {
+        assert_eq!(self.dims, src.dims, "copy_shell_from requires equal dims");
+        let Dims3 { nx, ny, nz } = self.dims;
+        let plane = nx * ny;
+        for z in 0..nz {
+            let base = z * plane;
+            if z == 0 || z + 1 == nz {
+                self.data[base..base + plane].copy_from_slice(&src.data[base..base + plane]);
+                continue;
+            }
+            for y in 0..ny {
+                let s = base + y * nx;
+                if y == 0 || y + 1 == ny {
+                    self.data[s..s + nx].copy_from_slice(&src.data[s..s + nx]);
+                } else {
+                    self.data[s] = src.data[s];
+                    self.data[s + nx - 1] = src.data[s + nx - 1];
+                }
+            }
+        }
+    }
+
     /// Sum over a region (deterministic order: x fastest).
     pub fn sum_region(&self, region: &Region3) -> T {
         let r = region.intersect(&Region3::whole(self.dims));
@@ -193,6 +219,28 @@ mod tests {
                 assert_eq!(dst.get(x, y, z), src.get(x, y, z));
             } else {
                 assert_eq!(dst.get(x, y, z), 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn copy_shell_from_copies_exactly_the_shell() {
+        for dims in [
+            Dims3::new(5, 4, 6),
+            Dims3::new(1, 3, 3),
+            Dims3::new(4, 2, 5),
+        ] {
+            let src: Grid3<f64> = Grid3::from_fn(dims, |x, y, z| (1 + x + 10 * y + 100 * z) as f64);
+            let mut dst: Grid3<f64> = Grid3::filled(dims, -1.0);
+            dst.copy_shell_from(&src);
+            let interior = Region3::interior_of(dims);
+            for (x, y, z) in Region3::whole(dims).iter() {
+                let want = if interior.contains(x, y, z) {
+                    -1.0
+                } else {
+                    src.get(x, y, z)
+                };
+                assert_eq!(dst.get(x, y, z), want, "{dims:?} at ({x},{y},{z})");
             }
         }
     }

@@ -33,9 +33,13 @@ impl<T: Real> GridPair<T> {
     }
 
     /// Assemble a pair from two existing buffers (e.g. recycled from a
-    /// staging pool). `b` must hold the same boundary values as `a` —
-    /// sweeps never write the boundary, so callers typically copy `a`
-    /// into `b` wholesale before handing both over.
+    /// staging pool). `b` must hold the same boundary values as `a` in
+    /// the one-cell shell outside [`Region3::interior_of`]: sweeps never
+    /// write the shell, and every executor writes each interior cell of
+    /// `b` in the first sweep before any sweep reads it, so `b`'s stale
+    /// interior never matters ([`Grid3::copy_shell_from`] is enough).
+    ///
+    /// [`Region3::interior_of`]: crate::Region3::interior_of
     ///
     /// # Panics
     /// Panics if the dims differ.
@@ -60,6 +64,16 @@ impl<T: Real> GridPair<T> {
             &self.a
         } else {
             &self.b
+        }
+    }
+
+    /// Consume the pair and keep the buffer holding the state after
+    /// `sweeps_done` sweeps (no copy).
+    pub fn into_current(self, sweeps_done: usize) -> Grid3<T> {
+        if sweeps_done.is_multiple_of(2) {
+            self.a
+        } else {
+            self.b
         }
     }
 
@@ -150,6 +164,14 @@ mod tests {
         assert_eq!(p.current(1).get(1, 1, 1), 3.0);
         p.swap();
         assert_eq!(p.current(0).get(1, 1, 1), 3.0, "state is in A after swap");
+    }
+
+    #[test]
+    fn into_current_keeps_the_parity_buffer() {
+        let mut p: GridPair<f64> = GridPair::zeroed(Dims3::cube(3));
+        p.b_mut().set(1, 1, 1, 2.0);
+        assert_eq!(p.clone().into_current(4).get(1, 1, 1), 0.0);
+        assert_eq!(p.into_current(3).get(1, 1, 1), 2.0);
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //! **Reuse contract:** a reused grid keeps the *stale contents* of its
 //! previous life (a fresh one is zeroed by allocation). Every consumer
 //! in this workspace writes a region before reading it — staging shells
-//! are snapshotted, ghost slabs unpacked, pipeline B buffers copied from
-//! the initial state — and the bitwise verification suites hold them to
-//! that, so no zeroing pass is spent per acquire.
+//! are snapshotted, ghost slabs unpacked, two-grid B buffers get the
+//! initial state's one-cell boundary shell and have their interior
+//! written by the first sweep, compressed storage gets the whole
+//! logical domain — and the bitwise verification suites hold them to
+//! that (a NaN-poisoned B buffer included), so no zeroing or full-copy
+//! pass is spent per acquire.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

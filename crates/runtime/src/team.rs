@@ -20,6 +20,7 @@
 //! with a compute dispatch (that is its purpose).
 
 use std::any::{Any, TypeId};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -191,6 +192,12 @@ fn comm_loop(lane: Arc<CommLane>, cpu: Option<usize>) {
     }
 }
 
+thread_local! {
+    /// Runtimes constructed by this thread: see
+    /// [`Runtime::constructed_on_this_thread`].
+    static CONSTRUCTED: Cell<u64> = const { Cell::new(0) };
+}
+
 /// A persistent team of compute workers (plus an optional dedicated
 /// communication worker), pinned once at spawn and reused for every
 /// dispatched task until dropped. See the crate docs for the lifecycle.
@@ -205,6 +212,8 @@ pub struct Runtime {
     pools: Mutex<HashMap<TypeId, Box<dyn Any + Send>>>,
     pool_capacity: usize,
     placement: Placement,
+    /// Threads this runtime spawned (compute and comm workers).
+    spawned: usize,
 }
 
 impl Runtime {
@@ -225,8 +234,9 @@ impl Runtime {
     /// `comm` controls the communication worker: `None` spawns none,
     /// `Some(pin)` spawns one with the given pin.
     pub fn from_cpus(cpus: Vec<Option<usize>>, comm: Option<Option<usize>>) -> Self {
+        CONSTRUCTED.with(|c| c.set(c.get() + 1));
         let lane = Arc::new(Lane::new());
-        let workers = cpus
+        let workers: Vec<JoinHandle<()>> = cpus
             .into_iter()
             .enumerate()
             .map(|(index, cpu)| {
@@ -262,6 +272,7 @@ impl Runtime {
                 (Some(lane), Some(worker))
             }
         };
+        let spawned = workers.len() + usize::from(comm_worker.is_some());
         Self {
             lane,
             workers,
@@ -272,7 +283,27 @@ impl Runtime {
             pools: Mutex::new(HashMap::new()),
             pool_capacity: crate::pool::DEFAULT_POOL_CAPACITY,
             placement: Placement::default(),
+            spawned,
         }
+    }
+
+    /// Threads this runtime has spawned over its lifetime, compute and
+    /// comm workers alike — the thread-side twin of
+    /// [`GridPool::fresh_allocations`]. Workers are spawned once at
+    /// construction, so any number of solves on the runtime holds this
+    /// flat.
+    pub fn spawned_workers(&self) -> usize {
+        self.spawned
+    }
+
+    /// How many runtimes the *calling thread* has constructed so far, by
+    /// any constructor. Only this thread moves the count, so it stays
+    /// meaningful while other threads build runtimes of their own: a
+    /// call that quietly builds a one-shot team (every classic executor
+    /// entry point does) raises it, a call that runs on a caller-provided
+    /// runtime does not.
+    pub fn constructed_on_this_thread() -> u64 {
+        CONSTRUCTED.with(Cell::get)
     }
 
     /// Set the eviction bound of every [`GridPool`] this runtime creates
@@ -663,6 +694,23 @@ mod tests {
         let plain = Runtime::new(&TeamLayout::new(&m, 2, 2));
         assert_eq!(plain.threads(), 4);
         assert!(!plain.has_comm_worker());
+    }
+
+    #[test]
+    fn ledgers_count_spawns_and_this_threads_constructions() {
+        let before = Runtime::constructed_on_this_thread();
+        let rt = Runtime::from_cpus(vec![None; 2], Some(None));
+        assert_eq!(rt.spawned_workers(), 3, "two compute workers + comm");
+        assert_eq!(Runtime::constructed_on_this_thread(), before + 1);
+        for _ in 0..4 {
+            rt.run(2, &|_| {});
+        }
+        assert_eq!(rt.spawned_workers(), 3, "dispatch spawns nothing");
+        // Another thread's constructions leave this thread's count alone.
+        std::thread::spawn(|| drop(Runtime::with_threads(1)))
+            .join()
+            .unwrap();
+        assert_eq!(Runtime::constructed_on_this_thread(), before + 1);
     }
 
     #[test]

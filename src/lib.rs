@@ -146,25 +146,31 @@ pub enum Method {
 
 /// [`solve_with`] on a persistent [`Runtime`]: parallel methods run on
 /// its (pinned) workers — which must number at least the method's
-/// thread count — and the second grid buffer / compressed storage come
-/// from the runtime's staging pool, so repeated solves stop paying
-/// spawn-per-solve and allocation-per-solve. Sequential methods ignore
-/// the runtime.
+/// thread count — and every method, `Sequential` and `Blocked`
+/// included, takes its second grid buffer / compressed storage from the
+/// runtime's staging pool, so repeated solves stop paying
+/// spawn-per-solve and allocation-per-solve.
+///
+/// The result comes back in one of the two grids the solve ran on:
+/// `initial` itself (an even sweep count, or `PipelinedCompressed`,
+/// which writes its result back into it) or the pooled B buffer, and
+/// the other one returns to the pool. The B buffer receives only the
+/// one-cell boundary shell of `initial` (see [`GridPair::from_parts`]):
+/// no full-grid copy is made around the solve.
 pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,
-    initial: Grid3<T>,
+    mut initial: Grid3<T>,
     sweeps: usize,
     method: Method,
 ) -> Result<(Grid3<T>, RunStats), String> {
-    /// Pair the initial grid with a pooled B buffer (a full copy, so
-    /// boundary cells are right in both buffers). The buffer comes from
-    /// [`Runtime::acquire_grid`] and is filled by [`Runtime::place_copy`],
-    /// so under [`Placement::WorkerFirstTouch`] its pages commit on the
-    /// workers that will compute on them.
+    /// Pair the initial grid with a pooled B buffer holding its boundary
+    /// shell. The buffer comes from [`Runtime::acquire_grid`], so under
+    /// [`Placement::WorkerFirstTouch`] a fresh one commits its pages on
+    /// the workers that will compute on them.
     fn pooled_pair<T: Real>(rt: &Runtime, initial: Grid3<T>) -> GridPair<T> {
         let mut b = rt.acquire_grid(initial.dims());
-        rt.place_copy(b.as_mut_slice(), initial.as_slice());
+        b.copy_shell_from(&initial);
         GridPair::from_parts(initial, b)
     }
     /// Keep the buffer holding the result, return the other to the pool.
@@ -180,7 +186,16 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
     }
     let pool = rt.grid_pool::<T>();
     match method {
-        Method::Sequential | Method::Blocked { .. } => solve_with(op, initial, sweeps, method),
+        Method::Sequential => {
+            let mut pair = pooled_pair(rt, initial);
+            let stats = baseline::seq_sweeps_op(op, &mut pair, sweeps);
+            Ok((split_result(&pool, pair, sweeps), stats))
+        }
+        Method::Blocked { block } => {
+            let mut pair = pooled_pair(rt, initial);
+            let stats = baseline::seq_blocked_sweeps_op(op, &mut pair, sweeps, block);
+            Ok((split_result(&pool, pair, sweeps), stats))
+        }
         Method::Parallel {
             threads,
             streaming_stores,
@@ -218,9 +233,9 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
                 rt.acquire_grid(CompressedGrid::<T>::alloc_dims_for(initial.dims(), margin));
             let mut cg = CompressedGrid::from_grid_in(&initial, margin, storage);
             let stats = pipeline::run_compressed_op_on(rt, op, &mut cg, &cfg, sweeps)?;
-            let out = cg.to_grid();
+            cg.copy_to(&mut initial);
             pool.release(cg.into_storage());
-            Ok((out, stats))
+            Ok((initial, stats))
         }
         Method::Wavefront { threads } => {
             let mut pair = pooled_pair(rt, initial);
@@ -255,7 +270,7 @@ pub fn solve_on<T: Real>(
 /// (see crate docs).
 pub fn solve_with<T: Real, Op: StencilOp<T>>(
     op: &Op,
-    initial: Grid3<T>,
+    mut initial: Grid3<T>,
     sweeps: usize,
     method: Method,
 ) -> Result<(Grid3<T>, RunStats), String> {
@@ -263,12 +278,12 @@ pub fn solve_with<T: Real, Op: StencilOp<T>>(
         Method::Sequential => {
             let mut pair = GridPair::from_initial(initial);
             let stats = baseline::seq_sweeps_op(op, &mut pair, sweeps);
-            Ok((pair.current(sweeps).clone(), stats))
+            Ok((pair.into_current(sweeps), stats))
         }
         Method::Blocked { block } => {
             let mut pair = GridPair::from_initial(initial);
             let stats = baseline::seq_blocked_sweeps_op(op, &mut pair, sweeps, block);
-            Ok((pair.current(sweeps).clone(), stats))
+            Ok((pair.into_current(sweeps), stats))
         }
         Method::Parallel {
             threads,
@@ -284,29 +299,30 @@ pub fn solve_with<T: Real, Op: StencilOp<T>>(
             };
             let mut pair = GridPair::from_initial(initial);
             let stats = baseline::par_sweeps_op(op, &mut pair, sweeps, threads, store, None);
-            Ok((pair.current(sweeps).clone(), stats))
+            Ok((pair.into_current(sweeps), stats))
         }
         Method::Pipelined(mut cfg) => {
             cfg.scheme = GridScheme::TwoGrid;
             let mut pair = GridPair::from_initial(initial);
             let stats = pipeline::run_op(op, &mut pair, &cfg, sweeps)?;
-            Ok((pair.current(sweeps).clone(), stats))
+            Ok((pair.into_current(sweeps), stats))
         }
         Method::PipelinedCompressed(mut cfg) => {
             cfg.scheme = GridScheme::Compressed;
             let mut cg = CompressedGrid::from_grid(&initial, cfg.stages());
             let stats = pipeline::run_compressed_op(op, &mut cg, &cfg, sweeps)?;
-            Ok((cg.to_grid(), stats))
+            cg.copy_to(&mut initial);
+            Ok((initial, stats))
         }
         Method::Wavefront { threads } => {
             let mut pair = GridPair::from_initial(initial);
             let stats = wavefront::run_wavefront_op(op, &mut pair, threads, sweeps)?;
-            Ok((pair.current(sweeps).clone(), stats))
+            Ok((pair.into_current(sweeps), stats))
         }
         Method::Diamond(cfg) => {
             let mut pair = GridPair::from_initial(initial);
             let stats = diamond::run_diamond_op(op, &mut pair, &cfg, sweeps)?;
-            Ok((pair.current(sweeps).clone(), stats))
+            Ok((pair.into_current(sweeps), stats))
         }
     }
 }

@@ -16,7 +16,14 @@
 //!    `grid_pool::<f64>()` are distinct pools on the same runtime;
 //!    dimensions are matched exactly within a pool.
 
-//! 4. **Placement** — grids acquired under
+//! 4. **Shell-only B buffers** — a facade solve copies only the
+//!    one-cell boundary shell of the initial grid into its pooled B
+//!    buffer; every executor writes B's interior before reading it, so
+//!    a NaN-poisoned recycled buffer still yields the oracle's bits.
+//!    Warm facade solves allocate nothing, and results come back in the
+//!    caller's own allocation where the parity (or the compressed
+//!    scheme) puts them there.
+//! 5. **Placement** — grids acquired under
 //!    [`Placement::WorkerFirstTouch`] are bitwise-indistinguishable
 //!    from client-placed ones (first-touch decides *where pages live*,
 //!    never *what they hold*), the warm serving path allocates nothing,
@@ -25,7 +32,7 @@
 
 use std::sync::Arc;
 
-use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
+use temporal_blocking::grid::{init, norm, CompressedGrid, Dims3, Grid3, Region3};
 use temporal_blocking::prelude::*;
 use temporal_blocking::runtime::GridPool;
 use temporal_blocking::topology::NumaDomain;
@@ -364,4 +371,119 @@ fn restricted_sub_machines_report_their_numa_nodes() {
     // plans tuned on differently-sliced machines never collide.
     assert!(straddling.signature().ends_with("+n2"));
     assert!(slice.signature().ends_with("+n1"));
+}
+
+/// Every facade method, at thread counts a 3-worker runtime serves.
+fn every_method() -> Vec<Method> {
+    vec![
+        Method::Sequential,
+        Method::Blocked { block: [7, 5, 6] },
+        Method::Parallel {
+            threads: 3,
+            streaming_stores: false,
+        },
+        Method::Parallel {
+            threads: 2,
+            streaming_stores: true,
+        },
+        Method::Pipelined(PipelineConfig::small()),
+        Method::PipelinedCompressed(PipelineConfig::small()),
+        Method::Wavefront { threads: 2 },
+        Method::Diamond(DiamondConfig::with_width(2, 6)),
+        Method::Diamond(DiamondConfig::with_width(2, 6).with_threads_per_tile(2)),
+    ]
+}
+
+/// Margin of the compressed storage `method` acquires, if any.
+fn compressed_margin(method: &Method) -> Option<usize> {
+    match method {
+        Method::PipelinedCompressed(cfg) => Some(cfg.stages()),
+        _ => None,
+    }
+}
+
+/// Empty `pool` of grids of `dims`, then park one NaN-filled grid there,
+/// so the next acquire of `dims` is a hit on poisoned stale contents.
+fn park_poisoned(pool: &GridPool<f64>, dims: Dims3) {
+    while pool.try_acquire(dims).is_some() {}
+    pool.release(Grid3::filled(dims, f64::NAN));
+}
+
+#[test]
+fn poisoned_pool_buffers_need_only_the_boundary_shell() {
+    let dims = Dims3::new(18, 17, 16);
+    let initial: Grid3<f64> = init::random(dims, 0x5E11);
+    let rt = Runtime::with_threads(3);
+
+    fn check<Op: StencilOp<f64>>(rt: &Runtime, op: &Op, initial: &Grid3<f64>) {
+        let dims = initial.dims();
+        let pool = rt.grid_pool::<f64>();
+        for sweeps in [0, 1, 2, 5] {
+            let (oracle, _) = solve_with(op, initial.clone(), sweeps, Method::Sequential).unwrap();
+            for method in every_method() {
+                park_poisoned(&pool, dims);
+                if let Some(margin) = compressed_margin(&method) {
+                    park_poisoned(&pool, CompressedGrid::<f64>::alloc_dims_for(dims, margin));
+                }
+                let (got, _) = solve_with_on(rt, op, initial.clone(), sweeps, method.clone())
+                    .unwrap_or_else(|e| panic!("{method:?}: {e}"));
+                norm::assert_grids_identical(
+                    &oracle,
+                    &got,
+                    &Region3::whole(dims),
+                    &format!(
+                        "{} via {method:?}, {sweeps} sweeps, poisoned pool",
+                        op.name()
+                    ),
+                );
+            }
+        }
+    }
+    check(&rt, &Jacobi6, &initial);
+    check(&rt, &Jacobi7::heat(0.1), &initial);
+    check(&rt, &VarCoeff7::banded(dims), &initial);
+    check(&rt, &Avg27, &initial);
+}
+
+#[test]
+fn warm_facade_solves_allocate_nothing_and_keep_the_callers_grid() {
+    let dims = Dims3::cube(16);
+    let initial: Grid3<f64> = init::random(dims, 0xA110C);
+    let rt = Runtime::with_threads(3);
+    let pool = rt.grid_pool::<f64>();
+    for sweeps in [1, 4] {
+        // Warm-up: one solve per method fills the pool.
+        for method in every_method() {
+            solve_with_on(&rt, &Jacobi6, initial.clone(), sweeps, method).unwrap();
+        }
+        let fresh = pool.fresh_allocations();
+        for method in every_method() {
+            // The one B buffer the warm pool parks for these dims.
+            let parked = pool.try_acquire(dims).expect("warm pool parks a B buffer");
+            let parked_ptr = parked.as_slice().as_ptr();
+            pool.release(parked);
+            let input = initial.clone();
+            let input_ptr = input.as_slice().as_ptr();
+            let (out, _) = solve_with_on(&rt, &Jacobi6, input, sweeps, method.clone()).unwrap();
+            assert_eq!(
+                pool.fresh_allocations(),
+                fresh,
+                "{method:?}, {sweeps} sweeps: a warm solve must not allocate"
+            );
+            // The compressed scheme writes its result back into the
+            // caller's grid; a two-grid method returns the caller's grid
+            // after an even sweep count and the pooled B buffer after an
+            // odd one. Never a fresh copy.
+            let want = if compressed_margin(&method).is_some() || sweeps % 2 == 0 {
+                input_ptr
+            } else {
+                parked_ptr
+            };
+            assert_eq!(
+                out.as_slice().as_ptr(),
+                want,
+                "{method:?}, {sweeps} sweeps: the result must live in the solve's own buffers"
+            );
+        }
+    }
 }

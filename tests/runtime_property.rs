@@ -4,7 +4,8 @@
 //! [`Runtime`] — including a *shared, oversized* runtime reused across
 //! many solves — is bitwise identical to the classic per-call entry
 //! points (which the long-standing suites pin to the sequential oracle),
-//! and a runtime neither spawns nor leaks threads per solve.
+//! and a solve on a runtime neither spawns workers nor builds a team of
+//! its own.
 
 use std::sync::OnceLock;
 
@@ -15,8 +16,8 @@ use temporal_blocking::net::{CartComm, Universe};
 use temporal_blocking::runtime::Runtime;
 use temporal_blocking::stencil::config::GridScheme;
 use temporal_blocking::{
-    solve_on, solve_with, solve_with_on, Avg27, Jacobi6, Jacobi7, Method, PipelineConfig,
-    StencilOp, SyncMode, VarCoeff7,
+    solve_on, solve_with, solve_with_on, Avg27, DiamondConfig, Jacobi6, Jacobi7, Method,
+    PipelineConfig, StencilOp, SyncMode, VarCoeff7,
 };
 
 /// One shared runtime for every proptest case: bigger than any case
@@ -24,18 +25,6 @@ use temporal_blocking::{
 fn shared_runtime() -> &'static Runtime {
     static RT: OnceLock<Runtime> = OnceLock::new();
     RT.get_or_init(|| Runtime::with_threads(8))
-}
-
-/// Live thread count of this process (Linux); `None` elsewhere.
-fn thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()
 }
 
 /// Every parallel method, on the shared persistent runtime, must equal
@@ -166,11 +155,19 @@ fn many_solves_on_one_runtime_reuse_without_leaks() {
         Method::Pipelined(cfg.clone()),
         Method::PipelinedCompressed(cfg),
         Method::Wavefront { threads: 3 },
+        Method::Diamond(DiamondConfig::with_width(3, 6)),
+        Method::Sequential,
+        Method::Blocked { block: [8, 8, 8] },
     ];
 
-    // Warm one dispatch so worker threads exist, then pin the count.
+    // Warm one dispatch, then pin both ledgers. Sibling tests build
+    // runtimes of their own concurrently, so the process-wide thread
+    // count is no measure here: the runtime's own spawn ledger and this
+    // thread's construction count are moved by nothing but this test.
     let (want, _) = solve_on(&rt, initial.clone(), sweeps, methods[0].clone()).unwrap();
-    let baseline_threads = thread_count();
+    let spawned = rt.spawned_workers();
+    let constructed = Runtime::constructed_on_this_thread();
+    assert_eq!(spawned, 3, "one spawn per worker, no comm worker");
 
     for round in 0..10 {
         for m in &methods {
@@ -183,9 +180,14 @@ fn many_solves_on_one_runtime_reuse_without_leaks() {
             );
         }
         assert_eq!(
-            thread_count(),
-            baseline_threads,
-            "round {round}: solves on a shared runtime must not spawn or leak workers"
+            rt.spawned_workers(),
+            spawned,
+            "round {round}: solves on a shared runtime must not spawn workers"
+        );
+        assert_eq!(
+            Runtime::constructed_on_this_thread(),
+            constructed,
+            "round {round}: solves on a shared runtime must not build a one-shot team"
         );
     }
 }
