@@ -47,32 +47,53 @@ impl LocalDomain {
     }
 
     /// The interior core of the overlapped schedule: the owned box shrunk
-    /// by `depth = c × radius` on every side, in local coordinates. These
-    /// are the cells a rank can advance `c` sweeps without any ghost data
-    /// from the current exchange — the compute that hides communication.
-    /// May be empty (tiny boxes or deep cycles: nothing can be hidden).
+    /// by `depth = c × radius` toward every face that receives ghosts
+    /// (where the stored box extends past the owned box), in local
+    /// coordinates. Faces on the physical boundary receive nothing, so
+    /// nothing stale can enter through them and the core keeps the owned
+    /// extent there. These are the cells a rank can advance `c` sweeps
+    /// without any ghost data from the current exchange — the compute
+    /// that hides communication. May be empty (tiny boxes or deep
+    /// cycles: nothing can be hidden).
     pub fn interior_core(&self, depth: usize) -> Region3 {
-        self.owned_local().shrink(depth)
+        let mut core = self.owned_local();
+        for d in 0..3 {
+            if self.owned.lo[d] > self.region.lo[d] {
+                core.lo[d] += depth;
+            }
+            if self.owned.hi[d] < self.region.hi[d] {
+                core.hi[d] = core.hi[d].saturating_sub(depth);
+            }
+        }
+        core
     }
 
-    /// The six boundary shells of width `depth = c × Op::RADIUS`: the
+    /// The boundary shells of width `depth = c × Op::RADIUS`: the
     /// annulus between the owned box and [`LocalDomain::interior_core`],
     /// split into at most six disjoint face slabs (z-low, z-high, y-low,
-    /// y-high, x-low, x-high), in local coordinates. These cells need
-    /// the freshly exchanged ghosts, so the overlapped schedule finishes
-    /// them after `waitall`.
+    /// y-high, x-low, x-high), in local coordinates. Shells exist only
+    /// on faces that receive ghosts. These cells need the freshly
+    /// exchanged ghosts, so the overlapped schedule finishes them after
+    /// `waitall`; they also hold every owned cell a send reads.
     pub fn boundary_shells(&self, depth: usize) -> Vec<Region3> {
         annulus_slabs(&self.owned_local(), &self.interior_core(depth))
     }
 
     /// Interior trapezoid of sweep `j` (1-based) in a `c`-sweep
-    /// overlapped cycle: the owned box shrunk by `j × radius`. Sweep `j`
-    /// of the interior phase may update exactly this region using only
-    /// pre-exchange data — staleness from the unexchanged ghosts
-    /// propagates inward one `radius` per sweep, so after sweep `j`
-    /// every cell of this region holds the true step-`t+j` value.
+    /// overlapped cycle: [`LocalDomain::interior_core`] at depth
+    /// `j × radius` — the owned box shrunk only toward faces that
+    /// receive ghosts — clamped to the updatable interior of the local
+    /// grid. Sweep `j` of the interior phase may update exactly this
+    /// region using only pre-exchange data — staleness from the
+    /// unexchanged ghosts propagates inward one `radius` per sweep, so
+    /// after sweep `j` every cell of this region holds the true
+    /// step-`t+j` value. Physical faces are never written, so the chain
+    /// satisfies `sweep_core(j+1).expand(radius) ⊆ sweep_core(j) ∪
+    /// never-written cells`, the pipeline plan and diamond tiling
+    /// contract.
     pub fn sweep_core(&self, j: usize, radius: usize) -> Region3 {
-        self.owned_local().shrink(j * radius)
+        self.interior_core(j * radius)
+            .intersect(&Region3::interior_of(self.dims))
     }
 
     /// Full update domain of sweep `j` (1-based) of a `c`-sweep cycle:
@@ -427,26 +448,52 @@ mod tests {
 
     #[test]
     fn shells_have_the_exchange_depth_width() {
+        // Faces with a neighbor shrink by `depth`; physical faces keep
+        // the owned extent, so the only shell is the +x slab.
+        let depth = 4;
         let dec = Decomposition::new(Dims3::cube(24), [2, 1, 1], 4);
         let l = dec.local([0, 0, 0]);
-        let depth = 4;
         let core = l.interior_core(depth);
         let owned = l.owned_local();
+        assert_eq!(core.lo, owned.lo, "physical low faces keep their extent");
+        assert_eq!(core.hi, [owned.hi[0] - depth, owned.hi[1], owned.hi[2]]);
+        assert_eq!(
+            l.boundary_shells(depth),
+            vec![Region3::new([owned.hi[0] - depth, 0, 0], owned.hi)]
+        );
+        // A middle rank receives ghosts on both x faces and shrinks on
+        // both, still keeping its physical y and z extents.
+        let dec3 = Decomposition::new(Dims3::new(36, 12, 12), [3, 1, 1], 4);
+        let m = dec3.local([1, 0, 0]);
+        let (core, owned) = (m.interior_core(depth), m.owned_local());
         for d in 0..3 {
-            assert_eq!(core.lo[d], owned.lo[d] + depth);
-            assert_eq!(core.hi[d], owned.hi[d] - depth);
+            let s = if d == 0 { depth } else { 0 };
+            assert_eq!(core.lo[d], owned.lo[d] + s, "dim {d}");
+            assert_eq!(core.hi[d], owned.hi[d] - s, "dim {d}");
         }
+        assert_eq!(m.boundary_shells(depth).len(), 2, "one slab per x face");
     }
 
     #[test]
     fn deep_split_leaves_an_empty_core() {
-        // 8-wide owned box, depth 4 from both sides: nothing is interior.
+        // 8-wide owned box at depth 4: a corner rank shrinks only on its
+        // three high faces, so half of each edge stays core.
         let dec = Decomposition::new(Dims3::cube(16), [2, 2, 2], 4);
         let l = dec.local([0, 0, 0]);
-        assert!(l.interior_core(4).is_empty());
+        let core = l.interior_core(4);
+        assert_eq!(core, Region3::new([0, 0, 0], [4, 4, 4]));
         let shells = l.boundary_shells(4);
+        assert_eq!(shells.len(), 3, "shells on the three high faces only");
+        let shell_cells: usize = shells.iter().map(Region3::count).sum();
+        assert_eq!(shell_cells, 8 * 8 * 8 - 4 * 4 * 4);
+        // An 8-wide box with neighbors on both x faces: depth 4 from
+        // both sides leaves nothing interior.
+        let dec = Decomposition::new(Dims3::new(24, 16, 16), [3, 2, 2], 4);
+        let m = dec.local([1, 0, 0]);
+        assert!(m.interior_core(4).is_empty());
+        let shells = m.boundary_shells(4);
         assert_eq!(shells.len(), 1, "empty core → the whole box is shell");
-        assert_eq!(shells[0], l.owned_local());
+        assert_eq!(shells[0], m.owned_local());
     }
 
     #[test]
@@ -454,20 +501,30 @@ mod tests {
         let dec = Decomposition::new(Dims3::cube(24), [2, 1, 1], 3);
         let l = dec.local([1, 0, 0]);
         let (c, radius) = (3, 1);
+        let interior = Region3::interior_of(l.dims);
+        let owned = l.owned_local();
         for j in 1..=c {
             let a = l.sweep_core(j, radius);
             let u = l.sweep_domain(j, c, radius);
+            // Only the -x face receives ghosts: the core shrinks there
+            // and spans the whole updatable interior everywhere else.
+            assert_eq!(
+                a,
+                Region3::new([owned.lo[0] + j * radius, 1, 1], interior.hi),
+                "sweep {j}"
+            );
             assert!(u.contains_region(&a), "core ⊆ domain at sweep {j}");
             assert!(
-                Region3::interior_of(l.dims).contains_region(&u),
+                interior.contains_region(&u),
                 "domains never touch Dirichlet or outermost ghost cells"
             );
             if j > 1 {
                 // The trapezoid: cores shrink, domains shrink, and each
-                // core expanded by the radius fits the previous core —
+                // core expanded by the radius fits the previous core
+                // once the never-written Dirichlet layer is set aside —
                 // the dependency contract of the pipelined plan.
                 let prev = l.sweep_core(j - 1, radius);
-                assert!(prev.contains_region(&a.expand(radius)));
+                assert!(prev.contains_region(&a.expand(radius).intersect(&interior)));
                 assert!(l.sweep_domain(j - 1, c, radius).contains_region(&u));
             }
         }
@@ -476,6 +533,25 @@ mod tests {
             l.sweep_domain(c, c, radius),
             l.owned_local().intersect(&Region3::interior_of(l.dims))
         );
+    }
+
+    #[test]
+    fn shell_phase_counts_on_the_benchmark_geometry() {
+        // 256³ over [1,1,2] at h = c = 4, radius 1: each rank has one
+        // neighbor face, so every shell annulus is a stack of full
+        // 254² planes, `c` deep per sweep: 1,032,256 cells per cycle.
+        let dec = Decomposition::new(Dims3::cube(256), [1, 1, 2], 4);
+        let (c, radius) = (4, 1);
+        for r in 0..dec.ranks() {
+            let l = dec.local(dec.coords_of(r));
+            let mut cells = 0;
+            for j in 1..=c {
+                let slabs = annulus_slabs(&l.sweep_domain(j, c, radius), &l.sweep_core(j, radius));
+                assert_eq!(slabs.len(), 1, "rank {r} sweep {j}: one z slab");
+                cells += slabs[0].count();
+            }
+            assert_eq!(cells, 4 * 4 * 254 * 254, "rank {r}");
+        }
     }
 
     #[test]

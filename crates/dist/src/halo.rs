@@ -63,14 +63,21 @@ pub fn exchange_regions(
 
 /// Copy the cells of `region` (x-fastest order) out of `g` into a
 /// message buffer. One copy: cells serialize straight into the byte
-/// buffer that becomes the message.
+/// buffer that becomes the message, which is sized up front and filled
+/// row by row through fixed-width chunks (the mirror of
+/// [`unpack_region`]), so the inner loop carries no capacity checks.
 pub fn pack_region<T: Real>(g: &Grid3<T>, region: &Region3) -> Bytes {
     let r = region.intersect(&Region3::whole(g.dims()));
-    let mut out = Vec::with_capacity(r.count() * 8);
+    if r.is_empty() {
+        return Bytes::new();
+    }
+    let mut out = vec![0u8; r.count() * 8];
+    let mut rows = out.chunks_exact_mut(r.extent(0) * 8);
     for z in r.lo[2]..r.hi[2] {
         for y in r.lo[1]..r.hi[1] {
-            for v in &g.row(y, z)[r.lo[0]..r.hi[0]] {
-                out.extend_from_slice(&v.to_f64().to_ne_bytes());
+            let dst = rows.next().expect("buffer sized to the region");
+            for (cell, v) in dst.chunks_exact_mut(8).zip(&g.row(y, z)[r.lo[0]..r.hi[0]]) {
+                cell.copy_from_slice(&v.to_f64().to_ne_bytes());
             }
         }
     }
@@ -142,6 +149,26 @@ mod tests {
         // Cells outside the region stay untouched.
         assert_eq!(dst.get(0, 0, 0), 0.0);
         assert_eq!(dst.get(6, 6, 4), 0.0);
+    }
+
+    #[test]
+    fn pack_layout_is_x_fastest_native_f64() {
+        let dims = Dims3::new(7, 5, 4);
+        let g: Grid3<f64> = init::random(dims, 11);
+        let r = Region3::new([1, 2, 0], [6, 4, 3]);
+        let mut want = Vec::new();
+        for z in r.lo[2]..r.hi[2] {
+            for y in r.lo[1]..r.hi[1] {
+                for x in r.lo[0]..r.hi[0] {
+                    want.extend_from_slice(&g.get(x, y, z).to_ne_bytes());
+                }
+            }
+        }
+        assert_eq!(&pack_region(&g, &r)[..], &want[..]);
+        // Regions clamp to the grid; empty ones pack to nothing.
+        let past = Region3::new([5, 3, 2], [9, 9, 9]);
+        assert_eq!(pack_region(&g, &past).len(), 2 * 2 * 2 * 8);
+        assert!(pack_region(&g, &Region3::new([2, 2, 2], [2, 4, 4])).is_empty());
     }
 
     #[test]

@@ -50,20 +50,23 @@
 //! The same staleness argument read inward instead of outward powers the
 //! overlapped schedule: before any ghost of the current exchange has
 //! arrived, sweep `j` may already update the owned box shrunk by
-//! `j × RADIUS` (the **interior trapezoid**,
-//! [`LocalDomain::sweep_core`]) — exactly the cells whose dependency
-//! cone stays inside pre-exchange data. The complementary annuli of
-//! width `c × RADIUS` (the **boundary shells**,
-//! [`LocalDomain::boundary_shells`]) are finished after `waitall`. The
-//! boundary data a rank *sends* is plain step-`t` state, so the sends
-//! start immediately; corner/edge forwarding still runs x → y → z, on
-//! the comm side, from a staging grid the compute never writes.
+//! `j × RADIUS` toward every face that receives ghosts (the **interior
+//! trapezoid**, [`LocalDomain::sweep_core`]) — exactly the cells whose
+//! dependency cone stays inside pre-exchange data. Faces on the physical
+//! boundary receive nothing and are never written, so the trapezoid
+//! keeps its full extent there. The complementary annuli of width
+//! `c × RADIUS` (the **boundary shells**,
+//! [`LocalDomain::boundary_shells`]), which exist only on faces with a
+//! neighbor, are finished after `waitall`. The boundary data a rank
+//! *sends* is plain step-`t` state, so the sends start immediately;
+//! corner/edge forwarding still runs x → y → z, on the comm side, from
+//! a staging grid the compute never writes.
 //!
 //! **When overlap cannot hide traffic:** hiding is bounded by the
-//! interior compute, whose core shrinks by `c × RADIUS` per cycle. A
-//! local box of edge `≤ 2·c·RADIUS` has no core at all, and a pipelined
-//! interior additionally needs blocks at least `n·t·T` wide inside the
-//! core. Deep halos amortize latency but shrink the hideable interior —
+//! interior compute, whose core shrinks by `c × RADIUS` per cycle on
+//! each face with a neighbor. A local box of edge `≤ 2·c·RADIUS` between
+//! two neighbors has no core at all, and a pipelined interior
+//! additionally needs blocks at least `n·t·T` wide inside the core. Deep halos amortize latency but shrink the hideable interior —
 //! the `n·t·T ≤ h / RADIUS` pipeline-depth constraint binds from the
 //! other side, so `h` trades message count against overlap window. The
 //! `overlap_sweep` bench measures the achieved hiding ratio per

@@ -24,11 +24,14 @@
 //!   `irecv`s, stage and `isend` the boundary shells immediately,
 //!   advance the **interior trapezoid** while the transfers are in
 //!   flight, `waitall`, unpack, and finish the shells. Sweep `j` of the
-//!   interior phase updates the owned box shrunk by `j × RADIUS`
-//!   ([`LocalDomain::sweep_core`]): staleness from the not-yet-arrived
-//!   ghosts propagates inward one radius per sweep, so every cell of
-//!   that region holds its true step-`t+j` value using pre-exchange
-//!   data only. The post-exchange shell phase then updates the
+//!   interior phase updates the owned box shrunk by `j × RADIUS` toward
+//!   the faces that receive ghosts ([`LocalDomain::sweep_core`]):
+//!   staleness from the not-yet-arrived ghosts propagates inward one
+//!   radius per sweep, so every cell of that region holds its true
+//!   step-`t+j` value using pre-exchange data only. Faces on the
+//!   physical boundary receive no ghosts and are never written, so the
+//!   core keeps its full extent there and shells exist only on faces
+//!   with a neighbor. The post-exchange shell phase then updates the
 //!   complementary annuli ([`LocalDomain::sweep_domain`] minus the
 //!   core), whose reads are exactly the freshly unpacked ghosts plus
 //!   trapezoid cells of the previous sweep. Both phases write the same
@@ -42,9 +45,10 @@
 //!   is identical to `Overlapped`; the wall-clock overlap becomes real.
 //!
 //! Overlap can only hide traffic that the interior compute outlasts: the
-//! interior core shrinks by `c × RADIUS` per cycle, so small local boxes
-//! or deep cycles leave little core (`h / RADIUS` sweeps of a box of
-//! edge `≤ 2·c·RADIUS` have none) and the exchange stays exposed. The
+//! interior core shrinks by `c × RADIUS` per cycle on every face with a
+//! neighbor, so small local boxes or deep cycles leave little core
+//! (`h / RADIUS` sweeps of a box of edge `≤ 2·c·RADIUS` between two
+//! neighbors have none) and the exchange stays exposed. The
 //! pipeline-depth constraint is unchanged: `n·t·T ≤ h / RADIUS`.
 //!
 //! [`DistJacobi`] is the classic-Jacobi instantiation.
@@ -473,7 +477,8 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                 .get_or_insert_with(|| rt.grid_pool::<T>().acquire_pooled(local.dims));
 
             // Stage the boundary shells for the comm side: every owned
-            // cell any send region reads lies within `depth` of a face.
+            // cell any send region reads lies within `depth` of a face
+            // with a neighbor, which is exactly where the shells are.
             for slab in local.boundary_shells(depth) {
                 copy_region(pair.a(), &slab, scratch, &slab);
             }
@@ -675,7 +680,8 @@ fn interior_trapezoid<T: Real, Op: StencilOp<T>>(
                 let views = pair.shared_views();
                 let plan = PipelinePlan::with_domains(domains.clone(), cfg.block);
                 // SAFETY: the trapezoid satisfies the plan contract —
-                // sweep_core(j+1).expand(RADIUS) == sweep_core(j) — and
+                // sweep_core(j+1).expand(RADIUS) ⊆ sweep_core(j) ∪ the
+                // never-written Dirichlet layer — and
                 // the pair is exclusively borrowed for the call (the
                 // comm side only touches the staging grid).
                 unsafe { pipeline::run_team_sweep_op_on(rt, op, &views, &plan, cfg, base, now) };
@@ -699,11 +705,12 @@ fn interior_trapezoid<T: Real, Op: StencilOp<T>>(
 
 /// The diamond form of the interior trapezoid: one diamond schedule
 /// over the `c` shrinking cores, executed in a single team dispatch.
-/// The trapezoid chain `sweep_core(j+1).expand(R) == sweep_core(j)` is
-/// exactly the tiling's per-sweep domain contract, and empty cores are
-/// tolerated by the geometry, so unlike the pipelined path there is no
-/// constructibility precondition and no fallback (`run_sweeps_on`
-/// rejects undersized runtimes up front; the executor re-asserts).
+/// The trapezoid chain `sweep_core(j+1).expand(R) ⊆ sweep_core(j) ∪
+/// never-written cells` is exactly the tiling's per-sweep domain
+/// contract, and empty cores are tolerated by the geometry, so unlike
+/// the pipelined path there is no constructibility precondition and no
+/// fallback (`run_sweeps_on` rejects undersized runtimes up front; the
+/// executor re-asserts).
 fn diamond_trapezoid<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,
