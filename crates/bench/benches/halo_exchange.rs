@@ -3,9 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tb_dist::halo::{pack_region, unpack_region};
-use tb_dist::{Decomposition, DistJacobi, LocalExec};
+use tb_dist::{Decomposition, DistSolver, LocalExec};
 use tb_grid::{init, Dims3, Grid3, Region3};
 use tb_net::{CartComm, Universe};
+use tb_runtime::Runtime;
+use tb_stencil::Jacobi6;
 
 fn bench_pack(c: &mut Criterion) {
     let dims = Dims3::cube(96);
@@ -36,12 +38,19 @@ fn bench_exchange_cycle(c: &mut Criterion) {
             let dec_ref = &dec;
             let times = Universe::run(2, None, move |comm| {
                 let mut cart = CartComm::new(comm, [2, 1, 1]);
-                let mut s =
-                    DistJacobi::from_global(dec_ref, cart.coords(), global_ref, LocalExec::Seq)
-                        .unwrap();
+                let mut s = DistSolver::from_global_op(
+                    dec_ref,
+                    cart.coords(),
+                    global_ref,
+                    LocalExec::Seq,
+                    Jacobi6,
+                )
+                .unwrap();
+                // Sequential local execution needs no workers.
+                let rt = Runtime::with_threads(0);
                 let t0 = std::time::Instant::now();
                 for _ in 0..iters {
-                    s.run_sweeps(&mut cart, 4);
+                    s.run_sweeps_on(&rt, &mut cart, 4);
                 }
                 t0.elapsed()
             });

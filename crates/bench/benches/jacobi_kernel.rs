@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tb_grid::{init, Dims3, Grid3, Region3};
-use tb_stencil::kernel;
+use tb_stencil::{kernel, Jacobi6};
 
 fn bench_rows(c: &mut Criterion) {
     let mut g = c.benchmark_group("jacobi_row");
@@ -33,7 +33,7 @@ fn bench_region_update(c: &mut Criterion) {
     let mut g = c.benchmark_group("update_region");
     g.throughput(Throughput::Elements(region.count() as u64));
     g.bench_function("full_interior_96", |b| {
-        b.iter(|| kernel::update_region(&src, &mut dst, &region));
+        b.iter(|| kernel::update_region_op(&Jacobi6, &src, &mut dst, &region));
     });
     g.finish();
 }

@@ -7,8 +7,9 @@
 
 use tb_bench::{best_of, problem, Args};
 use tb_grid::GridPair;
+use tb_runtime::Runtime;
 use tb_stencil::config::GridScheme;
-use tb_stencil::{pipeline, PipelineConfig, SyncMode};
+use tb_stencil::{pipeline, Jacobi6, PipelineConfig, SyncMode};
 use tb_topology::TeamLayout;
 
 fn main() {
@@ -26,6 +27,8 @@ fn main() {
         .map(|&b| b.min(edge - 2))
         .collect();
     sizes.dedup();
+    // One pinned team for every cell, spawned outside the timed runs.
+    let rt = Runtime::new(&TeamLayout::new(&machine, t, 1));
     for bx in sizes {
         let cfg = PipelineConfig {
             team_size: t,
@@ -34,7 +37,7 @@ fn main() {
             block: [bx, 20, 20],
             sync: SyncMode::relaxed_default(),
             scheme: GridScheme::TwoGrid,
-            layout: Some(TeamLayout::new(&machine, t, 1)),
+            layout: None,
             audit: false,
         };
         if cfg.validate(tb_grid::Dims3::cube(edge)).is_err() {
@@ -42,7 +45,7 @@ fn main() {
         }
         let s = best_of(reps, || {
             let mut pair = GridPair::from_initial(problem(edge, 42));
-            pipeline::run(&mut pair, &cfg, sweeps).unwrap()
+            pipeline::run_op_on(&rt, &Jacobi6, &mut pair, &cfg, sweeps).unwrap()
         });
         println!(
             "{bx:>6} {:>12.1} {:>18.0}",

@@ -6,8 +6,9 @@
 
 use tb_bench::{best_of, problem, Args};
 use tb_grid::GridPair;
+use tb_runtime::Runtime;
 use tb_stencil::config::GridScheme;
-use tb_stencil::{pipeline, PipelineConfig, SyncMode};
+use tb_stencil::{pipeline, Jacobi6, PipelineConfig, SyncMode};
 use tb_topology::TeamLayout;
 
 fn main() {
@@ -21,6 +22,8 @@ fn main() {
 
     println!("ablation: team delay d_t ({edge}^3, {teams} teams of {t})\n");
     println!("{:>6} {:>12}", "d_t", "MLUP/s");
+    // One pinned team for every cell, spawned outside the timed runs.
+    let rt = Runtime::new(&TeamLayout::new(&machine, t, teams));
     for dt in [0u64, 2, 4, 8, 16] {
         let cfg = PipelineConfig {
             team_size: t,
@@ -29,7 +32,7 @@ fn main() {
             block: [edge.min(120), 20, 20],
             sync: SyncMode::Relaxed { dl: 1, du: 4, dt },
             scheme: GridScheme::TwoGrid,
-            layout: Some(TeamLayout::new(&machine, t, teams)),
+            layout: None,
             audit: false,
         };
         if cfg.validate(tb_grid::Dims3::cube(edge)).is_err() {
@@ -37,7 +40,7 @@ fn main() {
         }
         let s = best_of(reps, || {
             let mut pair = GridPair::from_initial(problem(edge, 42));
-            pipeline::run(&mut pair, &cfg, sweeps).unwrap()
+            pipeline::run_op_on(&rt, &Jacobi6, &mut pair, &cfg, sweeps).unwrap()
         });
         println!("{dt:>6} {:>12.1}", s.mlups());
     }

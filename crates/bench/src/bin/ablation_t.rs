@@ -5,8 +5,9 @@
 
 use tb_bench::{best_of, problem, Args};
 use tb_grid::GridPair;
+use tb_runtime::Runtime;
 use tb_stencil::config::GridScheme;
-use tb_stencil::{pipeline, PipelineConfig, SyncMode};
+use tb_stencil::{pipeline, Jacobi6, PipelineConfig, SyncMode};
 use tb_topology::TeamLayout;
 
 fn main() {
@@ -19,6 +20,8 @@ fn main() {
 
     println!("ablation: updates per thread T ({edge}^3, team of {t}, {sweeps} sweeps)\n");
     println!("{:>4} {:>8} {:>12}", "T", "depth", "MLUP/s");
+    // One pinned team for every cell, spawned outside the timed runs.
+    let rt = Runtime::new(&TeamLayout::new(&machine, t, 1));
     for updates in [1usize, 2, 4, 8] {
         let cfg = PipelineConfig {
             team_size: t,
@@ -27,7 +30,7 @@ fn main() {
             block: [edge.min(120), 20, 20],
             sync: SyncMode::relaxed_default(),
             scheme: GridScheme::TwoGrid,
-            layout: Some(TeamLayout::new(&machine, t, 1)),
+            layout: None,
             audit: false,
         };
         if cfg.validate(tb_grid::Dims3::cube(edge)).is_err() {
@@ -36,7 +39,7 @@ fn main() {
         }
         let s = best_of(reps, || {
             let mut pair = GridPair::from_initial(problem(edge, 42));
-            pipeline::run(&mut pair, &cfg, sweeps).unwrap()
+            pipeline::run_op_on(&rt, &Jacobi6, &mut pair, &cfg, sweeps).unwrap()
         });
         println!("{updates:>4} {:>8} {:>12.1}", cfg.stages(), s.mlups());
     }

@@ -80,7 +80,7 @@ fn run_cell(
         last = Some(pair);
         s
     });
-    let grid = last.expect("reps >= 1").current(sweeps).clone();
+    let grid = last.expect("reps >= 1").into_current(sweeps);
     let verified = norm::first_mismatch(oracle, &grid, &Region3::whole(oracle.dims())).is_none();
     Row {
         team,
@@ -184,8 +184,8 @@ fn main() {
         let team_edge = scaled_edge(edge, team);
         let initial = problem(team_edge, 0xD1A);
         let mut oracle_pair = GridPair::from_initial(initial.clone());
-        baseline::seq_sweeps(&mut oracle_pair, sweeps);
-        let oracle = oracle_pair.current(sweeps).clone();
+        baseline::seq_sweeps_op(&Jacobi6, &mut oracle_pair, sweeps);
+        let oracle = oracle_pair.into_current(sweeps);
 
         let rt = Runtime::with_threads(team);
         // MWD sub-teams must divide the team; fall back to 1 elsewhere.

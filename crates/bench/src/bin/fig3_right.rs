@@ -9,8 +9,9 @@
 
 use tb_bench::{best_of, problem, Args};
 use tb_grid::GridPair;
+use tb_runtime::Runtime;
 use tb_stencil::config::GridScheme;
-use tb_stencil::{pipeline, PipelineConfig, SyncMode};
+use tb_stencil::{pipeline, Jacobi6, PipelineConfig, SyncMode};
 use tb_topology::TeamLayout;
 
 fn main() {
@@ -31,13 +32,16 @@ fn main() {
         "d_u-d_l", "socket MLUP/s", "node MLUP/s"
     );
 
+    // Both pinned teams are spawned once, outside the timed runs.
+    let socket_rt = Runtime::new(&TeamLayout::new(&machine, t, 1));
+    let node_rt = Runtime::new(&TeamLayout::new(&machine, t, groups));
     for looseness in 0..=5u64 {
         let sync = SyncMode::Relaxed {
             dl: 1,
             du: 1 + looseness,
             dt: 0,
         };
-        let run = |n_teams: usize| {
+        let run = |rt: &Runtime, n_teams: usize| {
             let cfg = PipelineConfig {
                 team_size: t,
                 n_teams,
@@ -45,16 +49,16 @@ fn main() {
                 block: [edge.min(120), 20, 20],
                 sync,
                 scheme: GridScheme::TwoGrid,
-                layout: Some(TeamLayout::new(&machine, t, n_teams)),
+                layout: None,
                 audit: false,
             };
             best_of(reps, || {
                 let mut pair = GridPair::from_initial(problem(edge, 42));
-                pipeline::run(&mut pair, &cfg, sweeps).expect("valid config")
+                pipeline::run_op_on(rt, &Jacobi6, &mut pair, &cfg, sweeps).expect("valid config")
             })
         };
-        let socket = run(1);
-        let node = run(groups);
+        let socket = run(&socket_rt, 1);
+        let node = run(&node_rt, groups);
         println!(
             "{:>8} {:>16.1} {:>16.1}",
             looseness,

@@ -156,9 +156,11 @@ fn sim(args: &Args) {
 }
 
 fn host(args: &Args) {
-    use tb_dist::{solver, Decomposition, DistJacobi, LocalExec};
+    use tb_dist::{Decomposition, DistSolver, LocalExec};
     use tb_grid::{init, Dims3};
     use tb_net::{CartComm, Universe};
+    use tb_runtime::Runtime;
+    use tb_stencil::Jacobi6;
 
     let edge_per_rank = args.get_usize("--size", 48);
     let sweeps = args.get_usize("--sweeps", 6);
@@ -184,10 +186,19 @@ fn host(args: &Args) {
         let (global_ref, dec_ref) = (&global, &dec);
         let results = Universe::run(ranks, None, move |comm| {
             let mut cart = CartComm::new(comm, pgrid);
-            let mut s = DistJacobi::from_global(dec_ref, cart.coords(), global_ref, LocalExec::Seq)
-                .unwrap();
+            let mut s = DistSolver::from_global_op(
+                dec_ref,
+                cart.coords(),
+                global_ref,
+                LocalExec::Seq,
+                Jacobi6,
+            )
+            .unwrap();
+            // Sequential local execution: a worker-less runtime, built
+            // before the clock starts.
+            let rt = Runtime::with_threads(0);
             let t0 = std::time::Instant::now();
-            let st = s.run_sweeps(&mut cart, sweeps);
+            let st = s.run_sweeps_on(&rt, &mut cart, sweeps);
             let secs = t0.elapsed().as_secs_f64();
             let _ = s.gather_global(&mut cart, dec_ref, global_ref);
             (
@@ -213,7 +224,6 @@ fn host(args: &Args) {
             halo as f64 / 1e6,
             gather as f64 / 1e6
         );
-        let _ = solver::serial_reference::<f64>; // keep the oracle linked for doc purposes
         ranks *= 2;
     }
 }

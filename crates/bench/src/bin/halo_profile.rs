@@ -10,10 +10,12 @@ use std::time::Instant;
 
 use tb_bench::Args;
 use tb_dist::halo::pack_region;
-use tb_dist::{Decomposition, DistJacobi, LocalExec};
+use tb_dist::{Decomposition, DistSolver, LocalExec};
 use tb_grid::{init, Dims3, Grid3, Region3};
 use tb_model::NetworkParams;
 use tb_net::{CartComm, Universe};
+use tb_runtime::Runtime;
+use tb_stencil::Jacobi6;
 
 fn main() {
     let args = Args::parse();
@@ -54,12 +56,16 @@ fn main() {
     let times = Universe::run(2, None, move |comm| {
         let mut cart = CartComm::new(comm, [2, 1, 1]);
         let mut s =
-            DistJacobi::from_global(&dec, cart.coords(), global_ref, LocalExec::Seq).unwrap();
-        // Warm-up cycle, then timed cycles (exchange + updates).
-        s.run_sweeps(&mut cart, 4);
+            DistSolver::from_global_op(&dec, cart.coords(), global_ref, LocalExec::Seq, Jacobi6)
+                .unwrap();
+        // Sequential local execution needs no workers; one runtime
+        // serves the warm-up cycle and every timed cycle (exchange +
+        // updates).
+        let rt = Runtime::with_threads(0);
+        s.run_sweeps_on(&rt, &mut cart, 4);
         let t = Instant::now();
         for _ in 0..reps {
-            s.run_sweeps(&mut cart, 4);
+            s.run_sweeps_on(&rt, &mut cart, 4);
         }
         (t.elapsed().as_secs_f64() / reps as f64, s.halo_bytes_sent)
     });

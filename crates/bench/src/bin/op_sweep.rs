@@ -18,6 +18,7 @@ use tb_bench::{problem, warmed_best_of, Args};
 use tb_dist::{Decomposition, DistSolver, LocalExec};
 use tb_grid::{norm, CompressedGrid, Grid3, GridPair, Region3};
 use tb_net::{CartComm, Universe};
+use tb_runtime::Runtime;
 use tb_stencil::config::GridScheme;
 use tb_stencil::kernel::StoreMode;
 use tb_stencil::{
@@ -79,77 +80,84 @@ fn cell<Op: StencilOp<f64>>(
     }
 }
 
+/// Every method of one operator; the threaded ones run on `rt`, whose
+/// worker count is the `parallel` team size.
 fn sweep_op<Op: StencilOp<f64>>(
+    rt: &Runtime,
     op: &Op,
     edge: usize,
     sweeps: usize,
     reps: usize,
-    threads: usize,
     tpt: usize,
     rows: &mut Vec<Row>,
 ) {
+    let threads = rt.threads();
     let initial = problem(edge, 0xBEEF);
     let mut oracle_pair = GridPair::from_initial(initial.clone());
     baseline::seq_sweeps_op(op, &mut oracle_pair, sweeps);
-    let oracle = oracle_pair.current(sweeps).clone();
+    let oracle = oracle_pair.into_current(sweeps);
 
     rows.push(cell(op, "seq", "on", &oracle, reps, || {
         let mut pair = GridPair::from_initial(initial.clone());
         let s = baseline::seq_sweeps_op(op, &mut pair, sweeps);
-        (pair.current(sweeps).clone(), s)
+        (pair.into_current(sweeps), s)
     }));
     rows.push(cell(op, "seq", "off", &oracle, reps, || {
         let scalar = ScalarPath(op.clone());
         let mut pair = GridPair::from_initial(initial.clone());
         let s = baseline::seq_sweeps_op(&scalar, &mut pair, sweeps);
-        (pair.current(sweeps).clone(), s)
+        (pair.into_current(sweeps), s)
     }));
     rows.push(cell(op, "blocked", "on", &oracle, reps, || {
         let mut pair = GridPair::from_initial(initial.clone());
         let s = baseline::seq_blocked_sweeps_op(op, &mut pair, sweeps, [32, 8, 8]);
-        (pair.current(sweeps).clone(), s)
+        (pair.into_current(sweeps), s)
     }));
     rows.push(cell(op, "parallel", "on", &oracle, reps, || {
         let mut pair = GridPair::from_initial(initial.clone());
-        let s = baseline::par_sweeps_op(op, &mut pair, sweeps, threads, StoreMode::Normal, None);
-        (pair.current(sweeps).clone(), s)
+        let s = baseline::par_sweeps_op_on(rt, op, &mut pair, sweeps, threads, StoreMode::Normal);
+        (pair.into_current(sweeps), s)
     }));
     rows.push(cell(op, "parallel-nt", "on", &oracle, reps, || {
         let mut pair = GridPair::from_initial(initial.clone());
-        let s = baseline::par_sweeps_op(op, &mut pair, sweeps, threads, StoreMode::Streaming, None);
-        (pair.current(sweeps).clone(), s)
+        let s =
+            baseline::par_sweeps_op_on(rt, op, &mut pair, sweeps, threads, StoreMode::Streaming);
+        (pair.into_current(sweeps), s)
     }));
     rows.push(cell(op, "pipelined", "on", &oracle, reps, || {
         let cfg = pipeline_cfg(GridScheme::TwoGrid);
         let mut pair = GridPair::from_initial(initial.clone());
-        let s = pipeline::run_op(op, &mut pair, &cfg, sweeps).expect("valid config");
-        (pair.current(sweeps).clone(), s)
+        let s = pipeline::run_op_on(rt, op, &mut pair, &cfg, sweeps).expect("valid config");
+        (pair.into_current(sweeps), s)
     }));
     rows.push(cell(op, "compressed", "on", &oracle, reps, || {
         let cfg = pipeline_cfg(GridScheme::Compressed);
         let mut cg = CompressedGrid::from_grid(&initial, cfg.stages());
-        let s = pipeline::run_compressed_op(op, &mut cg, &cfg, sweeps).expect("valid config");
+        let s =
+            pipeline::run_compressed_op_on(rt, op, &mut cg, &cfg, sweeps).expect("valid config");
         (cg.to_grid(), s)
     }));
     rows.push(cell(op, "wavefront", "on", &oracle, reps, || {
         let mut pair = GridPair::from_initial(initial.clone());
-        let s = wavefront::run_wavefront_op(op, &mut pair, 2, sweeps).expect("valid threads");
-        (pair.current(sweeps).clone(), s)
+        let s =
+            wavefront::run_wavefront_op_on(rt, op, &mut pair, 2, sweeps).expect("valid threads");
+        (pair.into_current(sweeps), s)
     }));
     // MWD sub-teams must divide the (fixed, 2-thread) diamond team.
     let team_tpt = if 2usize.is_multiple_of(tpt) { tpt } else { 1 };
     let dia_cfg = DiamondConfig::with_width(2, 8).with_threads_per_tile(team_tpt);
     rows.push(cell(op, "diamond", "on", &oracle, reps, || {
         let mut pair = GridPair::from_initial(initial.clone());
-        let s = diamond::run_diamond_op(op, &mut pair, &dia_cfg, sweeps).expect("valid config");
-        (pair.current(sweeps).clone(), s)
+        let s =
+            diamond::run_diamond_op_on(rt, op, &mut pair, &dia_cfg, sweeps).expect("valid config");
+        (pair.into_current(sweeps), s)
     }));
     rows.push(cell(op, "diamond", "off", &oracle, reps, || {
         let scalar = ScalarPath(op.clone());
         let mut pair = GridPair::from_initial(initial.clone());
-        let s =
-            diamond::run_diamond_op(&scalar, &mut pair, &dia_cfg, sweeps).expect("valid config");
-        (pair.current(sweeps).clone(), s)
+        let s = diamond::run_diamond_op_on(rt, &scalar, &mut pair, &dia_cfg, sweeps)
+            .expect("valid config");
+        (pair.into_current(sweeps), s)
     }));
     rows.push(cell(op, "dist", "on", &oracle, reps, || {
         dist_run(op, &initial, sweeps, [2, 1, 1], &LocalExec::Seq)
@@ -206,27 +214,21 @@ fn main() {
          threads/tile {tpt}\n"
     );
 
+    // One team for every threaded cell, spawned outside the timed runs.
+    let rt = Runtime::with_threads(threads);
     let mut rows = Vec::new();
-    sweep_op(&Jacobi6, edge, sweeps, reps, threads, tpt, &mut rows);
+    sweep_op(&rt, &Jacobi6, edge, sweeps, reps, tpt, &mut rows);
+    sweep_op(&rt, &Jacobi7::heat(0.1), edge, sweeps, reps, tpt, &mut rows);
     sweep_op(
-        &Jacobi7::heat(0.1),
-        edge,
-        sweeps,
-        reps,
-        threads,
-        tpt,
-        &mut rows,
-    );
-    sweep_op(
+        &rt,
         &VarCoeff7::banded(dims),
         edge,
         sweeps,
         reps,
-        threads,
         tpt,
         &mut rows,
     );
-    sweep_op(&Avg27, edge, sweeps, reps, threads, tpt, &mut rows);
+    sweep_op(&rt, &Avg27, edge, sweeps, reps, tpt, &mut rows);
 
     println!(
         "{:<11} {:<12} {:>5} {:>10} {:>10} {:>9}",

@@ -70,8 +70,8 @@ fn main() {
 
     let initial = problem(edge, 0x91A);
     let mut oracle_pair = GridPair::from_initial(initial.clone());
-    baseline::seq_sweeps(&mut oracle_pair, sweeps);
-    let oracle = oracle_pair.current(sweeps).clone();
+    baseline::seq_sweeps_op(&Jacobi6, &mut oracle_pair, sweeps);
+    let oracle = oracle_pair.into_current(sweeps);
 
     println!(
         "plan-cache autotuner — {edge}^3, {sweeps} sweeps, top-{top_k}, \

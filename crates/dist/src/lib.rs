@@ -17,15 +17,14 @@
 //!   operator: exchange `h` layers along successive directions (x, then
 //!   y, then z — corner and edge data arrive by composition), run
 //!   `h / RADIUS` local sweeps, repeat. Results are **bitwise
-//!   identical** to the operator's sequential oracle; [`DistJacobi`] is
-//!   the classic-Jacobi instantiation;
+//!   identical** to the operator's sequential oracle;
 //! * [`ExchangeMode`] — how the exchange is scheduled against the local
 //!   compute: blocking ([`ExchangeMode::Sync`], the paper's measured
 //!   baseline) or overlapped with the interior update
 //!   ([`ExchangeMode::Overlapped`], optionally with a real dedicated
 //!   communication thread, [`ExchangeMode::OverlappedCommThread`]) —
 //!   the multicore-aware §2.3 proposal. See "Overlap" below;
-//! * [`solver::serial_reference`] — the verification oracle;
+//! * [`solver::serial_reference_op`] — the verification oracle;
 //! * [`sim`] — the Fig. 6 substitution: execute the real protocol on a
 //!   small grid under the virtual-time network while predicting the
 //!   nominal point with [`tb_model::ScalingConfig`];
@@ -43,7 +42,7 @@
 //! therefore leaves every owned cell bit-identical to a global
 //! sequential sweep — redundant work happens only in the overlap rings,
 //! which the next exchange overwrites. The e2e tests hold every
-//! configuration to bitwise equality with [`solver::serial_reference`].
+//! configuration to bitwise equality with [`solver::serial_reference_op`].
 //!
 //! # Overlap
 //!
@@ -79,4 +78,4 @@ pub mod sim;
 pub mod solver;
 
 pub use decomp::{annulus_slabs, Decomposition, LocalDomain};
-pub use solver::{DistJacobi, DistSolver, ExchangeMode, LocalExec};
+pub use solver::{DistSolver, ExchangeMode, LocalExec};

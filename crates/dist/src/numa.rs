@@ -20,7 +20,7 @@
 //! Results remain bitwise identical to the sequential solver; the
 //! redundant overlap-ring updates are the price, which
 //! [`RunStats::cell_updates`] here *includes* (unlike
-//! [`crate::DistJacobi`]) so the ablation binary can report both the
+//! [`crate::DistSolver`]) so the ablation binary can report both the
 //! raw and the useful rate.
 //!
 //! The same first-touch lever is available generically — outside this
@@ -245,8 +245,8 @@ pub fn run_numa_node_on<T: Real>(
 }
 
 /// [`run_numa_node_on`] on a one-shot runtime: pinned per cache group
-/// when `cfg.pin` is set (team `k`'s workers on group `k`'s CPUs) —
-/// the classic entry point.
+/// when `cfg.pin` is set (team `k`'s workers on group `k`'s CPUs), a
+/// placement a caller cannot restate in one line.
 pub fn run_numa_node<T: Real>(
     initial: &Grid3<T>,
     machine: &Machine,
@@ -275,7 +275,7 @@ mod tests {
 
     fn reference(initial: &Grid3<f64>, sweeps: usize) -> Grid3<f64> {
         let mut pair = GridPair::from_initial(initial.clone());
-        baseline::seq_sweeps(&mut pair, sweeps);
+        baseline::seq_sweeps_op(&Jacobi6, &mut pair, sweeps);
         pair.into_current(sweeps)
     }
 

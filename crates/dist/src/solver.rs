@@ -50,8 +50,6 @@
 //! (`h / RADIUS` sweeps of a box of edge `≤ 2·c·RADIUS` between two
 //! neighbors have none) and the exchange stays exposed. The
 //! pipeline-depth constraint is unchanged: `n·t·T ≤ h / RADIUS`.
-//!
-//! [`DistJacobi`] is the classic-Jacobi instantiation.
 
 use std::time::Instant;
 
@@ -61,9 +59,7 @@ use tb_runtime::{PooledGrid, Runtime};
 use tb_stencil::config::GridScheme;
 use tb_stencil::diamond::{self, DiamondTiling};
 use tb_stencil::pipeline::PipelinePlan;
-use tb_stencil::{
-    baseline, kernel, pipeline, DiamondConfig, Jacobi6, PipelineConfig, RunStats, StencilOp,
-};
+use tb_stencil::{baseline, kernel, pipeline, DiamondConfig, PipelineConfig, RunStats, StencilOp};
 use tb_sync::Handoff;
 
 use crate::decomp::{annulus_slabs, Decomposition, LocalDomain};
@@ -133,21 +129,6 @@ pub struct DistSolver<T: Real, Op: StencilOp<T>> {
     pub halo_bytes_sent: u64,
     /// Payload bytes this rank has sent in final-result gathers.
     pub gather_bytes_sent: u64,
-}
-
-/// The classic-Jacobi instantiation of [`DistSolver`].
-pub type DistJacobi<T> = DistSolver<T, Jacobi6>;
-
-impl<T: Real> DistJacobi<T> {
-    /// [`DistSolver::from_global_op`] with the classic Jacobi operator.
-    pub fn from_global(
-        dec: &Decomposition,
-        coords: [usize; 3],
-        global: &Grid3<T>,
-        exec: LocalExec,
-    ) -> Result<Self, String> {
-        Self::from_global_op(dec, coords, global, exec, Jacobi6)
-    }
 }
 
 impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
@@ -762,27 +743,23 @@ pub fn serial_reference_op<T: Real, Op: StencilOp<T>>(
     pair.into_current(sweeps)
 }
 
-/// Classic-Jacobi form of [`serial_reference_op`].
-pub fn serial_reference<T: Real>(global: &Grid3<T>, sweeps: usize) -> Grid3<T> {
-    serial_reference_op(&Jacobi6, global, sweeps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tb_grid::{init, norm, Dims3};
     use tb_net::Universe;
-    use tb_stencil::{Avg27, Jacobi7, VarCoeff7};
+    use tb_stencil::{Avg27, Jacobi6, Jacobi7, VarCoeff7};
     use tb_sync::SyncMode;
 
     fn verify(dims: Dims3, pgrid: [usize; 3], h: usize, sweeps: usize) {
         let global: Grid3<f64> = init::random(dims, 99);
-        let want = serial_reference(&global, sweeps);
+        let want = serial_reference_op(&Jacobi6, &global, sweeps);
         let dec = Decomposition::new(dims, pgrid, h);
         let (g, w) = (&global, &want);
         Universe::run(dec.ranks(), None, move |comm| {
             let mut cart = CartComm::new(comm, pgrid);
-            let mut s = DistJacobi::from_global(&dec, cart.coords(), g, LocalExec::Seq).unwrap();
+            let mut s = DistSolver::from_global_op(&dec, cart.coords(), g, LocalExec::Seq, Jacobi6)
+                .unwrap();
             let stats = s.run_sweeps(&mut cart, sweeps);
             assert_eq!(
                 stats.cell_updates,
@@ -978,7 +955,13 @@ mod tests {
         let dec = Decomposition::new(dims, [1, 1, 1], 1);
         let global: Grid3<f64> = init::random(dims, 2);
         let cfg = DiamondConfig::with_width(2, 1); // width < 2·radius
-        let err = match DistJacobi::from_global(&dec, [0, 0, 0], &global, LocalExec::Diamond(cfg)) {
+        let err = match DistSolver::from_global_op(
+            &dec,
+            [0, 0, 0],
+            &global,
+            LocalExec::Diamond(cfg),
+            Jacobi6,
+        ) {
             Err(e) => e,
             Ok(_) => panic!("too-narrow diamond width must be rejected"),
         };
@@ -1013,9 +996,10 @@ mod tests {
                 return 0;
             }
             let mut cart = CartComm::new(comm, pgrid);
-            let mut s = DistJacobi::from_global(dec_ref, cart.coords(), g, LocalExec::Seq)
-                .unwrap()
-                .with_exchange_mode(ExchangeMode::OverlappedCommThread);
+            let mut s =
+                DistSolver::from_global_op(dec_ref, cart.coords(), g, LocalExec::Seq, Jacobi6)
+                    .unwrap()
+                    .with_exchange_mode(ExchangeMode::OverlappedCommThread);
             s.run_sweeps(&mut cart, 2);
             0
         });
@@ -1030,7 +1014,8 @@ mod tests {
         let g = &global;
         let bytes = Universe::run(2, None, move |comm| {
             let mut cart = CartComm::new(comm, pgrid);
-            let mut s = DistJacobi::from_global(&dec, cart.coords(), g, LocalExec::Seq).unwrap();
+            let mut s = DistSolver::from_global_op(&dec, cart.coords(), g, LocalExec::Seq, Jacobi6)
+                .unwrap();
             s.run_sweeps(&mut cart, 4);
             let halo = s.halo_bytes_sent;
             let _ = s.gather_global(&mut cart, &dec, g);
@@ -1061,9 +1046,10 @@ mod tests {
             let dec = &dec;
             let halo: Vec<u64> = Universe::run(4, None, move |comm| {
                 let mut cart = CartComm::new(comm, pgrid);
-                let mut s = DistJacobi::from_global(dec, cart.coords(), g, LocalExec::Seq)
-                    .unwrap()
-                    .with_exchange_mode(mode);
+                let mut s =
+                    DistSolver::from_global_op(dec, cart.coords(), g, LocalExec::Seq, Jacobi6)
+                        .unwrap()
+                        .with_exchange_mode(mode);
                 s.run_sweeps(&mut cart, 6);
                 s.halo_bytes_sent
             });
@@ -1090,11 +1076,12 @@ mod tests {
         let g = &global;
         Universe::run(2, None, move |comm| {
             let cart = CartComm::new(comm, [2, 1, 1]);
-            let err = match DistJacobi::from_global(
+            let err = match DistSolver::from_global_op(
                 &dec,
                 cart.coords(),
                 g,
                 LocalExec::Pipelined(cfg.clone()),
+                Jacobi6,
             ) {
                 Err(e) => e,
                 Ok(_) => panic!("pipeline deeper than halo must be rejected"),
@@ -1107,6 +1094,8 @@ mod tests {
     fn mismatched_global_grid_rejected() {
         let dec = Decomposition::new(Dims3::cube(12), [1, 1, 1], 1);
         let wrong: Grid3<f64> = Grid3::zeroed(Dims3::cube(10));
-        assert!(DistJacobi::from_global(&dec, [0, 0, 0], &wrong, LocalExec::Seq).is_err());
+        assert!(
+            DistSolver::from_global_op(&dec, [0, 0, 0], &wrong, LocalExec::Seq, Jacobi6).is_err()
+        );
     }
 }

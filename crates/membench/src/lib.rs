@@ -7,8 +7,8 @@
 //!
 //! * [`kernels`] — COPY/SCALE/ADD/TRIAD loops (with a non-temporal COPY
 //!   on x86-64),
-//! * [`runner`] — timed single-/multi-threaded sweeps over working-set
-//!   sizes,
+//! * [`runner`] — timed single-/multi-threaded bandwidth measurements
+//!   on a persistent runtime,
 //! * [`calibrate`] — turn host measurements into a
 //!   [`tb_model::MachineParams`] for the analytic models.
 
@@ -17,6 +17,4 @@ pub mod kernels;
 pub mod runner;
 
 pub use calibrate::{calibrate_host, calibrate_host_on, CalibrationProfile};
-pub use runner::{
-    measure_bandwidth, measure_bandwidth_on, working_set_sweep, BandwidthSample, StreamKind,
-};
+pub use runner::{measure_bandwidth_on, BandwidthSample, StreamKind};

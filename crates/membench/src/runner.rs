@@ -104,44 +104,14 @@ pub fn measure_bandwidth_on(
     }
 }
 
-/// [`measure_bandwidth_on`] on a one-shot runtime — the classic entry
-/// point. `pin` pins worker `k` to CPU `k`.
-pub fn measure_bandwidth(
-    kind: StreamKind,
-    threads: usize,
-    elems: usize,
-    reps: usize,
-    pin: bool,
-) -> BandwidthSample {
-    assert!(threads >= 1);
-    let rt = if pin {
-        Runtime::from_cpus((0..threads).map(Some).collect(), None)
-    } else {
-        Runtime::with_threads(threads)
-    };
-    measure_bandwidth_on(&rt, kind, threads, elems, reps)
-}
-
-/// Sweep working-set sizes to expose the cache hierarchy: returns
-/// `(working_set_bytes, bandwidth)` pairs for the given kernel/threads.
-pub fn working_set_sweep(
-    kind: StreamKind,
-    threads: usize,
-    sizes: &[usize],
-    reps: usize,
-) -> Vec<(usize, f64)> {
-    sizes
-        .iter()
-        .map(|&elems| {
-            let s = measure_bandwidth(kind, threads, elems, reps, false);
-            (s.working_set, s.bytes_per_sec)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rt() -> &'static Runtime {
+        static RT: std::sync::OnceLock<Runtime> = std::sync::OnceLock::new();
+        RT.get_or_init(|| Runtime::with_threads(2))
+    }
 
     #[test]
     fn bytes_accounting() {
@@ -151,7 +121,7 @@ mod tests {
 
     #[test]
     fn measures_positive_bandwidth() {
-        let s = measure_bandwidth(StreamKind::Copy, 1, 1 << 16, 3, false);
+        let s = measure_bandwidth_on(rt(), StreamKind::Copy, 1, 1 << 16, 3);
         assert!(
             s.bytes_per_sec > 1e6,
             "absurdly low bandwidth {}",
@@ -162,21 +132,21 @@ mod tests {
 
     #[test]
     fn multithreaded_run_completes() {
-        let s = measure_bandwidth(StreamKind::Triad, 2, 1 << 14, 2, false);
+        let s = measure_bandwidth_on(rt(), StreamKind::Triad, 2, 1 << 14, 2);
         assert!(s.bytes_per_sec.is_finite());
         assert!(s.bytes_per_sec > 0.0);
     }
 
     #[test]
     fn nt_copy_reports_bandwidth() {
-        let s = measure_bandwidth(StreamKind::CopyNt, 1, 1 << 16, 2, false);
+        let s = measure_bandwidth_on(rt(), StreamKind::CopyNt, 1, 1 << 16, 2);
         assert!(s.bytes_per_sec > 1e6);
     }
 
     #[test]
-    fn sweep_returns_one_sample_per_size() {
-        let out = working_set_sweep(StreamKind::Copy, 1, &[1 << 10, 1 << 12], 2);
-        assert_eq!(out.len(), 2);
-        assert!(out[0].0 < out[1].0);
+    fn working_set_grows_with_the_array_length() {
+        let small = measure_bandwidth_on(rt(), StreamKind::Copy, 1, 1 << 10, 2);
+        let large = measure_bandwidth_on(rt(), StreamKind::Copy, 1, 1 << 12, 2);
+        assert!(small.working_set < large.working_set);
     }
 }

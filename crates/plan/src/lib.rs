@@ -25,7 +25,7 @@
 //!   `serde` is a no-op shim).
 //!
 //! The facade crate ties this to execution: see
-//! `temporal_blocking::solve_tuned_on`.
+//! `temporal_blocking::solve_tuned_with_on`.
 
 pub mod cache;
 pub mod ir;

@@ -33,11 +33,11 @@
 //!
 //! Share a single runtime whenever the same team geometry executes more
 //! than one solve: autotune loops, repeated-solve services, long
-//! time-stepping with convergence checks, calibration sweeps. Each
-//! executor entry point also exists as a `*_on(&Runtime, …)` form in
-//! `tb-stencil`/`tb-dist`/`tb-membench`; the classic forms build a
-//! one-shot runtime per call, so they keep their historical signatures
-//! and bitwise behaviour at roughly the historical cost. Do **not** call
+//! time-stepping with convergence checks, calibration sweeps. Every
+//! threaded executor in `tb-stencil`/`tb-dist`/`tb-membench` takes the
+//! runtime as its first argument (`*_on(&Runtime, …)`); a caller with
+//! a single solve builds a one-shot runtime for it, as the facade's
+//! `solve_with` does. Do **not** call
 //! [`Runtime::run`] from inside a task running on the same runtime — the
 //! workers are occupied and the nested dispatch would deadlock.
 //!

@@ -299,9 +299,9 @@ impl Runtime {
     /// How many runtimes the *calling thread* has constructed so far, by
     /// any constructor. Only this thread moves the count, so it stays
     /// meaningful while other threads build runtimes of their own: a
-    /// call that quietly builds a one-shot team (every classic executor
-    /// entry point does) raises it, a call that runs on a caller-provided
-    /// runtime does not.
+    /// call that quietly builds a one-shot team (the facade's
+    /// `solve_with` does) raises it, a call that runs on a
+    /// caller-provided runtime does not.
     pub fn constructed_on_this_thread() -> u64 {
         CONSTRUCTED.with(Cell::get)
     }

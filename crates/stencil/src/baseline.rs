@@ -7,7 +7,8 @@
 //! a barrier per sweep — structurally the OpenMP code of the paper.
 //! They double as the *reference oracle*: every temporally blocked solver
 //! is verified bitwise against [`seq_sweeps_op`] instantiated with the
-//! same operator. The `*_op`-less names are the classic-Jacobi forms.
+//! same operator. The threaded solver runs on a caller-provided
+//! persistent [`Runtime`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -17,7 +18,7 @@ use tb_runtime::Runtime;
 use tb_sync::SpinBarrier;
 
 use crate::kernel::{self, StoreMode};
-use crate::op::{Jacobi6, StencilOp};
+use crate::op::StencilOp;
 use crate::stats::RunStats;
 
 /// Sequential reference: plain full-interior sweeps of `op`.
@@ -33,11 +34,6 @@ pub fn seq_sweeps_op<T: Real, Op: StencilOp<T>>(
         kernel::update_region_op(op, src, dst, &interior);
     }
     RunStats::new((sweeps * interior.count()) as u64, t0.elapsed())
-}
-
-/// Classic-Jacobi form of [`seq_sweeps_op`].
-pub fn seq_sweeps<T: Real>(pair: &mut GridPair<T>, sweeps: usize) -> RunStats {
-    seq_sweeps_op(&Jacobi6, pair, sweeps)
 }
 
 /// Sequential sweeps with spatial blocking: each sweep visits the interior
@@ -59,15 +55,6 @@ pub fn seq_blocked_sweeps_op<T: Real, Op: StencilOp<T>>(
         }
     }
     RunStats::new((sweeps * interior.count()) as u64, t0.elapsed())
-}
-
-/// Classic-Jacobi form of [`seq_blocked_sweeps_op`].
-pub fn seq_blocked_sweeps<T: Real>(
-    pair: &mut GridPair<T>,
-    sweeps: usize,
-    block: [usize; 3],
-) -> RunStats {
-    seq_blocked_sweeps_op(&Jacobi6, pair, sweeps, block)
 }
 
 /// Thread-parallel standard sweeps on `threads` workers of a persistent
@@ -132,54 +119,6 @@ pub fn par_sweeps_op_on<T: Real, Op: StencilOp<T>>(
     RunStats::new(total.load(Ordering::Relaxed), t0.elapsed())
 }
 
-/// [`par_sweeps_op_on`] on a one-shot runtime — the classic entry
-/// point. `cpus` optionally pins worker `k` to `cpus[k]`; the reported
-/// elapsed time includes the team spawn/join, as it always did.
-pub fn par_sweeps_op<T: Real, Op: StencilOp<T>>(
-    op: &Op,
-    pair: &mut GridPair<T>,
-    sweeps: usize,
-    threads: usize,
-    store: StoreMode,
-    cpus: Option<&[usize]>,
-) -> RunStats {
-    assert!(threads >= 1);
-    if Region3::interior_of(pair.dims()).is_empty() || sweeps == 0 {
-        return RunStats::new(0, std::time::Duration::ZERO);
-    }
-    let t0 = Instant::now();
-    let rt = match cpus {
-        Some(cpus) => {
-            Runtime::from_cpus((0..threads).map(|k| cpus.get(k).copied()).collect(), None)
-        }
-        None => Runtime::with_threads(threads),
-    };
-    let stats = par_sweeps_op_on(&rt, op, pair, sweeps, threads, store);
-    RunStats::new(stats.cell_updates, t0.elapsed())
-}
-
-/// Classic-Jacobi form of [`par_sweeps_op_on`].
-pub fn par_sweeps_on<T: Real>(
-    rt: &Runtime,
-    pair: &mut GridPair<T>,
-    sweeps: usize,
-    threads: usize,
-    store: StoreMode,
-) -> RunStats {
-    par_sweeps_op_on(rt, &Jacobi6, pair, sweeps, threads, store)
-}
-
-/// Classic-Jacobi form of [`par_sweeps_op`].
-pub fn par_sweeps<T: Real>(
-    pair: &mut GridPair<T>,
-    sweeps: usize,
-    threads: usize,
-    store: StoreMode,
-    cpus: Option<&[usize]>,
-) -> RunStats {
-    par_sweeps_op(&Jacobi6, pair, sweeps, threads, store, cpus)
-}
-
 /// Split `n` items into `threads` contiguous chunks; chunk `k` gets the
 /// half-open range returned.
 pub fn slab(n: usize, threads: usize, k: usize) -> (usize, usize) {
@@ -193,15 +132,15 @@ pub fn slab(n: usize, threads: usize, k: usize) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{Avg27, Jacobi7, VarCoeff7};
+    use crate::op::{Avg27, Jacobi6, Jacobi7, VarCoeff7};
+    use crate::test_runtime;
     use tb_grid::{init, norm, Dims3};
 
     fn reference(dims: Dims3, seed: u64, sweeps: usize) -> tb_grid::Grid3<f64> {
         let mut pair = GridPair::from_initial(init::random(dims, seed));
-        seq_sweeps(&mut pair, sweeps);
-        pair.current(sweeps).clone()
+        seq_sweeps_op(&Jacobi6, &mut pair, sweeps);
+        pair.into_current(sweeps)
     }
-
     #[test]
     fn slab_partition_covers_exactly() {
         for n in [1usize, 2, 7, 16, 33] {
@@ -224,7 +163,7 @@ mod tests {
         let dims = Dims3::new(14, 11, 9);
         let want = reference(dims, 5, 4);
         let mut pair = GridPair::from_initial(init::random(dims, 5));
-        seq_blocked_sweeps(&mut pair, 4, [5, 4, 3]);
+        seq_blocked_sweeps_op(&Jacobi6, &mut pair, 4, [5, 4, 3]);
         norm::assert_grids_identical(&want, pair.current(4), &Region3::whole(dims), "blocked");
     }
 
@@ -234,7 +173,14 @@ mod tests {
         let want = reference(dims, 8, 5);
         for threads in [1, 2, 3, 4, 7] {
             let mut pair = GridPair::from_initial(init::random(dims, 8));
-            par_sweeps(&mut pair, 5, threads, StoreMode::Normal, None);
+            par_sweeps_op_on(
+                test_runtime(),
+                &Jacobi6,
+                &mut pair,
+                5,
+                threads,
+                StoreMode::Normal,
+            );
             norm::assert_grids_identical(
                 &want,
                 pair.current(5),
@@ -249,7 +195,14 @@ mod tests {
         let dims = Dims3::cube(18);
         let want = reference(dims, 2, 3);
         let mut pair = GridPair::from_initial(init::random(dims, 2));
-        par_sweeps(&mut pair, 3, 2, StoreMode::Streaming, None);
+        par_sweeps_op_on(
+            test_runtime(),
+            &Jacobi6,
+            &mut pair,
+            3,
+            2,
+            StoreMode::Streaming,
+        );
         norm::assert_grids_identical(&want, pair.current(3), &Region3::whole(dims), "nt");
     }
 
@@ -258,7 +211,7 @@ mod tests {
         let dims = Dims3::new(10, 10, 5); // interior nz = 3 < 6 threads
         let want = reference(dims, 4, 2);
         let mut pair = GridPair::from_initial(init::random(dims, 4));
-        par_sweeps(&mut pair, 2, 6, StoreMode::Normal, None);
+        par_sweeps_op_on(test_runtime(), &Jacobi6, &mut pair, 2, 6, StoreMode::Normal);
         norm::assert_grids_identical(&want, pair.current(2), &Region3::whole(dims), "thin");
     }
 
@@ -266,7 +219,7 @@ mod tests {
     fn stats_account_updates() {
         let dims = Dims3::cube(10);
         let mut pair: GridPair<f64> = GridPair::from_initial(init::random(dims, 1));
-        let s = par_sweeps(&mut pair, 3, 2, StoreMode::Normal, None);
+        let s = par_sweeps_op_on(test_runtime(), &Jacobi6, &mut pair, 3, 2, StoreMode::Normal);
         assert_eq!(s.cell_updates, (3 * dims.interior_len()) as u64);
     }
 
@@ -275,8 +228,8 @@ mod tests {
         let dims = Dims3::cube(12);
         let mut a: GridPair<f32> = GridPair::from_initial(init::random(dims, 9));
         let mut b: GridPair<f32> = GridPair::from_initial(init::random(dims, 9));
-        seq_sweeps(&mut a, 3);
-        par_sweeps(&mut b, 3, 2, StoreMode::Streaming, None); // f32 => plain-store fallback
+        seq_sweeps_op(&Jacobi6, &mut a, 3);
+        par_sweeps_op_on(test_runtime(), &Jacobi6, &mut b, 3, 2, StoreMode::Streaming); // f32 => plain-store fallback
         norm::assert_grids_identical(a.current(3), b.current(3), &Region3::whole(dims), "f32");
     }
 
@@ -287,7 +240,7 @@ mod tests {
             seq_sweeps_op(op, &mut a, sweeps);
             for store in [StoreMode::Normal, StoreMode::Streaming] {
                 let mut b = GridPair::from_initial(init::random(dims, 31));
-                par_sweeps_op(op, &mut b, sweeps, 3, store, None);
+                par_sweeps_op_on(test_runtime(), op, &mut b, sweeps, 3, store);
                 norm::assert_grids_identical(
                     a.current(sweeps),
                     b.current(sweeps),

@@ -80,9 +80,9 @@ impl PipelineConfig {
 
     /// A one-shot [`tb_runtime::Runtime`] for this config: one worker
     /// per pipeline thread, pinned per [`PipelineConfig::layout`] when
-    /// present. The classic (non-`_on`) executor entry points build one
-    /// of these per call; repeated solves should build a runtime once
-    /// and use the `*_on` forms instead.
+    /// present. The facade's one-shot `solve_with` builds one of these
+    /// per pipelined call; repeated solves should build a runtime once
+    /// and share it.
     pub fn one_shot_runtime(&self) -> tb_runtime::Runtime {
         match &self.layout {
             Some(layout) if layout.threads() == self.threads() => {

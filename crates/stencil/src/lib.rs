@@ -33,11 +33,11 @@
 //!
 //! # Execution
 //!
-//! Every parallel entry point has a `*_on(&tb_runtime::Runtime, …)`
-//! form running on a persistent, core-pinned worker team (share one
-//! runtime across repeated solves), and a classic form that builds a
-//! one-shot runtime per call — same signature and bitwise behaviour as
-//! before the runtime existed.
+//! Each executor has exactly one entry point, generic over the operator:
+//! `seq_*_op` for the sequential oracle, `*_op_on(&tb_runtime::Runtime,
+//! &Op, …)` for every threaded method. The threaded forms run on a
+//! persistent, core-pinned worker team that the caller builds once and
+//! shares across repeated solves.
 //!
 //! # Determinism
 //!
@@ -65,3 +65,12 @@ pub use diamond::DiamondConfig;
 pub use op::{Avg27, Jacobi6, Jacobi7, Rows9, ScalarPath, StencilOp, VarCoeff7};
 pub use stats::RunStats;
 pub use tb_sync::SyncMode;
+
+/// One oversized runtime shared by the unit tests of every executor
+/// module, so each test drives the `*_op_on` entry point without
+/// spawning a team of its own.
+#[cfg(test)]
+pub(crate) fn test_runtime() -> &'static tb_runtime::Runtime {
+    static RT: std::sync::OnceLock<tb_runtime::Runtime> = std::sync::OnceLock::new();
+    RT.get_or_init(|| tb_runtime::Runtime::with_threads(8))
+}

@@ -7,15 +7,14 @@
 //!
 //! Team sweeps (each advancing the whole grid by `n·t·T` Jacobi sweeps)
 //! are separated by barriers; a trailing partial team sweep handles sweep
-//! counts that are not multiples of the pipeline depth, so `run` performs
-//! *exactly* `sweeps` Jacobi sweeps for any request.
+//! counts that are not multiples of the pipeline depth, so [`run_op_on`]
+//! performs *exactly* `sweeps` Jacobi sweeps for any request.
 //!
-//! Every entry point exists in two forms: `*_on(&Runtime, …)` executes
-//! on a persistent [`tb_runtime::Runtime`] worker team (the paper's
-//! long-lived pinned thread groups — share one runtime across repeated
-//! solves to pay the spawn/pin cost once), and the classic form, which
-//! builds a one-shot runtime per call and so keeps its historical
-//! signature and cost profile.
+//! [`run_op_on`] (whole solves) and [`run_team_sweep_op_on`] (one team
+//! sweep over an external plan, for `tb-dist`) execute on a persistent
+//! [`tb_runtime::Runtime`] worker team (the paper's long-lived pinned
+//! thread groups): share one runtime across repeated solves to pay the
+//! spawn/pin cost once.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -26,7 +25,7 @@ use tb_sync::{PipelineSync, SpinBarrier};
 
 use crate::config::PipelineConfig;
 use crate::kernel::{self, StoreMode};
-use crate::op::{Jacobi6, StencilOp};
+use crate::op::StencilOp;
 use crate::pipeline::plan::PipelinePlan;
 use crate::pipeline::schedule::team_sweep_schedule;
 use crate::stats::RunStats;
@@ -169,44 +168,6 @@ pub fn run_op_on<T: Real, Op: StencilOp<T>>(
     Ok(RunStats::new(run.cells(), t0.elapsed()))
 }
 
-/// [`run_op_on`] on a one-shot runtime built from `cfg` (pinned per
-/// `cfg.layout` when present) — the classic entry point. The reported
-/// elapsed time includes the team spawn/join, as it always did.
-pub fn run_op<T: Real, Op: StencilOp<T>>(
-    op: &Op,
-    pair: &mut GridPair<T>,
-    cfg: &PipelineConfig,
-    sweeps: usize,
-) -> Result<RunStats, String> {
-    cfg.validate(pair.dims())?;
-    let t0 = Instant::now();
-    let stats = run_op_on(&cfg.one_shot_runtime(), op, pair, cfg, sweeps)?;
-    Ok(if sweeps == 0 {
-        stats
-    } else {
-        RunStats::new(stats.cell_updates, t0.elapsed())
-    })
-}
-
-/// Classic-Jacobi form of [`run_op_on`].
-pub fn run_on<T: Real>(
-    rt: &Runtime,
-    pair: &mut GridPair<T>,
-    cfg: &PipelineConfig,
-    sweeps: usize,
-) -> Result<RunStats, String> {
-    run_op_on(rt, &Jacobi6, pair, cfg, sweeps)
-}
-
-/// Classic-Jacobi form of [`run_op`].
-pub fn run<T: Real>(
-    pair: &mut GridPair<T>,
-    cfg: &PipelineConfig,
-    sweeps: usize,
-) -> Result<RunStats, String> {
-    run_op(&Jacobi6, pair, cfg, sweeps)
-}
-
 /// One pipelined team sweep over an externally built plan — the entry
 /// point for the distributed solver, whose stage domains are shrinking
 /// ghost rings rather than the plain interior. Executes on the given
@@ -274,43 +235,6 @@ pub unsafe fn run_team_sweep_op_on<T: Real, Op: StencilOp<T>>(
     total_cells.load(Ordering::Relaxed)
 }
 
-/// [`run_team_sweep_op_on`] on a one-shot runtime built from `cfg`.
-///
-/// # Safety
-/// Same contract as [`run_team_sweep_op_on`].
-pub unsafe fn run_team_sweep_op<T: Real, Op: StencilOp<T>>(
-    op: &Op,
-    views: &[SharedGrid<T>; 2],
-    plan: &PipelinePlan,
-    cfg: &PipelineConfig,
-    base_sweep: usize,
-    stages_now: usize,
-) -> u64 {
-    run_team_sweep_op_on(
-        &cfg.one_shot_runtime(),
-        op,
-        views,
-        plan,
-        cfg,
-        base_sweep,
-        stages_now,
-    )
-}
-
-/// Classic-Jacobi form of [`run_team_sweep_op`].
-///
-/// # Safety
-/// Same contract as [`run_team_sweep_op_on`].
-pub unsafe fn run_team_sweep<T: Real>(
-    views: &[SharedGrid<T>; 2],
-    plan: &PipelinePlan,
-    cfg: &PipelineConfig,
-    base_sweep: usize,
-    stages_now: usize,
-) -> u64 {
-    run_team_sweep_op(&Jacobi6, views, plan, cfg, base_sweep, stages_now)
-}
-
 /// Apply this thread's `T` consecutive stages to block `j` of the team
 /// sweep starting at global sweep `base`. Returns cells updated.
 #[allow(clippy::too_many_arguments)]
@@ -361,19 +285,21 @@ fn update_block<T: Real, Op: StencilOp<T>>(
 mod tests {
     use super::*;
     use crate::baseline;
+    use crate::op::Jacobi6;
+    use crate::test_runtime;
     use tb_grid::{init, norm, Dims3, GridPair};
     use tb_sync::SyncMode;
 
     fn reference(dims: Dims3, seed: u64, sweeps: usize) -> tb_grid::Grid3<f64> {
         let mut pair = GridPair::from_initial(init::random(dims, seed));
-        baseline::seq_sweeps(&mut pair, sweeps);
-        pair.current(sweeps).clone()
+        baseline::seq_sweeps_op(&Jacobi6, &mut pair, sweeps);
+        pair.into_current(sweeps)
     }
 
     fn run_cfg(dims: Dims3, seed: u64, sweeps: usize, cfg: &PipelineConfig) -> tb_grid::Grid3<f64> {
         let mut pair = GridPair::from_initial(init::random(dims, seed));
-        run(&mut pair, cfg, sweeps).unwrap();
-        pair.current(sweeps).clone()
+        run_op_on(test_runtime(), &Jacobi6, &mut pair, cfg, sweeps).unwrap();
+        pair.into_current(sweeps)
     }
 
     fn assert_matches_reference(dims: Dims3, sweeps: usize, cfg: &PipelineConfig) {
@@ -510,7 +436,7 @@ mod tests {
         let initial: tb_grid::Grid3<f64> = init::random(dims, 1);
         let mut pair = GridPair::from_initial(initial.clone());
         let cfg = PipelineConfig::small();
-        let stats = run(&mut pair, &cfg, 0).unwrap();
+        let stats = run_op_on(test_runtime(), &Jacobi6, &mut pair, &cfg, 0).unwrap();
         assert_eq!(stats.cell_updates, 0);
         norm::assert_grids_identical(&initial, pair.current(0), &Region3::whole(dims), "noop");
     }
@@ -521,7 +447,7 @@ mod tests {
         let mut pair: GridPair<f64> = GridPair::from_initial(init::random(dims, 3));
         let cfg = audit_cfg(2, 1, 1, SyncMode::relaxed_default(), [9, 9, 9]);
         let sweeps = 6;
-        let stats = run(&mut pair, &cfg, sweeps).unwrap();
+        let stats = run_op_on(test_runtime(), &Jacobi6, &mut pair, &cfg, sweeps).unwrap();
         assert_eq!(stats.cell_updates, (sweeps * dims.interior_len()) as u64);
     }
 
@@ -531,25 +457,7 @@ mod tests {
         let mut pair: GridPair<f64> = GridPair::zeroed(dims);
         let mut cfg = PipelineConfig::small();
         cfg.updates_per_thread = 50;
-        assert!(run(&mut pair, &cfg, 2).is_err());
-    }
-
-    #[test]
-    fn shared_runtime_reproduces_the_one_shot_result() {
-        let dims = Dims3::cube(20);
-        let cfg = audit_cfg(2, 1, 2, SyncMode::relaxed_default(), [8, 8, 8]);
-        let want = run_cfg(dims, 9, 6, &cfg);
-        let rt = Runtime::with_threads(cfg.threads());
-        for _ in 0..3 {
-            let mut pair = GridPair::from_initial(init::random(dims, 9));
-            run_on(&rt, &mut pair, &cfg, 6).unwrap();
-            norm::assert_grids_identical(
-                &want,
-                pair.current(6),
-                &Region3::whole(dims),
-                "shared runtime",
-            );
-        }
+        assert!(run_op_on(test_runtime(), &Jacobi6, &mut pair, &cfg, 2).is_err());
     }
 
     #[test]
@@ -558,7 +466,7 @@ mod tests {
         let mut pair: GridPair<f64> = GridPair::from_initial(init::random(dims, 1));
         let cfg = audit_cfg(3, 1, 1, SyncMode::relaxed_default(), [8, 8, 8]);
         let rt = Runtime::with_threads(2);
-        let err = run_on(&rt, &mut pair, &cfg, 2).unwrap_err();
+        let err = run_op_on(&rt, &Jacobi6, &mut pair, &cfg, 2).unwrap_err();
         assert!(err.contains("workers"), "{err}");
     }
 }

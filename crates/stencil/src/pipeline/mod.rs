@@ -10,9 +10,6 @@ pub mod exec;
 pub mod plan;
 mod schedule;
 
-pub use compressed::{run_compressed, run_compressed_on, run_compressed_op, run_compressed_op_on};
-pub use exec::{
-    run, run_on, run_op, run_op_on, run_team_sweep, run_team_sweep_op, run_team_sweep_op_on,
-    PipelineRun,
-};
+pub use compressed::run_compressed_op_on;
+pub use exec::{run_op_on, run_team_sweep_op_on, PipelineRun};
 pub use plan::PipelinePlan;

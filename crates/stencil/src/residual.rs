@@ -9,7 +9,7 @@
 
 use tb_grid::{Grid3, Real, Region3};
 
-use crate::op::{Jacobi6, Rows9, StencilOp};
+use crate::op::{Rows9, StencilOp};
 
 /// Apply `op` row-wise over the interior and fold `f` over
 /// `(next_value, current_value)` pairs.
@@ -45,11 +45,6 @@ pub fn max_residual_op<T: Real, Op: StencilOp<T>>(g: &Grid3<T>, op: &Op) -> f64 
     worst
 }
 
-/// Classic-Jacobi form of [`max_residual_op`].
-pub fn max_residual<T: Real>(g: &Grid3<T>) -> f64 {
-    max_residual_op(g, &Jacobi6)
-}
-
 /// L2 norm of the defect over the interior.
 pub fn l2_residual_op<T: Real, Op: StencilOp<T>>(g: &Grid3<T>, op: &Op) -> f64 {
     let mut acc = 0.0f64;
@@ -58,11 +53,6 @@ pub fn l2_residual_op<T: Real, Op: StencilOp<T>>(g: &Grid3<T>, op: &Op) -> f64 {
         acc += d * d;
     });
     acc.sqrt()
-}
-
-/// Classic-Jacobi form of [`l2_residual_op`].
-pub fn l2_residual<T: Real>(g: &Grid3<T>) -> f64 {
-    l2_residual_op(g, &Jacobi6)
 }
 
 /// Iterate `step` (a closure advancing the grid by `chunk` sweeps of the
@@ -93,29 +83,18 @@ pub fn iterate_to_tolerance_op<T: Real, Op: StencilOp<T>>(
     (done, res, history)
 }
 
-/// Classic-Jacobi form of [`iterate_to_tolerance_op`].
-pub fn iterate_to_tolerance<T: Real>(
-    grid: &mut Grid3<T>,
-    chunk: usize,
-    tol: f64,
-    max_sweeps: usize,
-    step: impl FnMut(Grid3<T>, usize) -> Grid3<T>,
-) -> (usize, f64, Vec<f64>) {
-    iterate_to_tolerance_op(grid, &Jacobi6, chunk, tol, max_sweeps, step)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline;
-    use crate::op::{Avg27, Jacobi7};
+    use crate::op::{Avg27, Jacobi6, Jacobi7};
     use tb_grid::{init, Dims3, GridPair};
 
     #[test]
     fn linear_fields_have_tiny_residual() {
         let g: Grid3<f64> = init::linear(Dims3::cube(12), 1.0, -2.0, 0.5, 4.0);
-        assert!(max_residual(&g) < 1e-12);
-        assert!(l2_residual(&g) < 1e-10);
+        assert!(max_residual_op(&g, &Jacobi6) < 1e-12);
+        assert!(l2_residual_op(&g, &Jacobi6) < 1e-10);
         // Linear fields are fixed points of the 27-point average too.
         assert!(max_residual_op(&g, &Avg27) < 1e-12);
     }
@@ -124,9 +103,9 @@ mod tests {
     fn residual_decreases_under_sweeps() {
         let dims = Dims3::cube(14);
         let mut pair = GridPair::from_initial(init::hot_plate::<f64>(dims, 1.0, 0.0));
-        let r0 = max_residual(pair.current(0));
-        baseline::seq_sweeps(&mut pair, 30);
-        let r30 = max_residual(pair.current(30));
+        let r0 = max_residual_op(pair.current(0), &Jacobi6);
+        baseline::seq_sweeps_op(&Jacobi6, &mut pair, 30);
+        let r30 = max_residual_op(pair.current(30), &Jacobi6);
         assert!(r30 < r0, "{r30} !< {r0}");
         assert!(r30 < 0.5 * r0);
     }
@@ -154,11 +133,12 @@ mod tests {
     fn iterate_to_tolerance_stops() {
         let dims = Dims3::cube(10);
         let mut g = init::hot_plate::<f64>(dims, 1.0, 0.0);
-        let (sweeps, res, history) = iterate_to_tolerance(&mut g, 5, 1e-4, 500, |g, n| {
-            let mut pair = GridPair::from_initial(g);
-            baseline::seq_sweeps(&mut pair, n);
-            pair.current(n).clone()
-        });
+        let (sweeps, res, history) =
+            iterate_to_tolerance_op(&mut g, &Jacobi6, 5, 1e-4, 500, |g, n| {
+                let mut pair = GridPair::from_initial(g);
+                baseline::seq_sweeps_op(&Jacobi6, &mut pair, n);
+                pair.into_current(n)
+            });
         assert!(res <= 1e-4, "residual {res}");
         assert!(sweeps <= 500);
         assert!(history.len() >= 2);
@@ -168,6 +148,6 @@ mod tests {
     #[test]
     fn l2_dominates_max_over_cells() {
         let g = init::random::<f64>(Dims3::cube(10), 8);
-        assert!(l2_residual(&g) >= max_residual(&g));
+        assert!(l2_residual_op(&g, &Jacobi6) >= max_residual_op(&g, &Jacobi6));
     }
 }

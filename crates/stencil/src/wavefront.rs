@@ -22,7 +22,7 @@ use tb_runtime::Runtime;
 use tb_sync::{PipelineSync, SpinBarrier};
 
 use crate::kernel::{self, StoreMode};
-use crate::op::{Jacobi6, StencilOp};
+use crate::op::StencilOp;
 use crate::stats::RunStats;
 
 /// Minimum lead (in planes) of thread `i-1` over thread `i`: plane `z` at
@@ -119,62 +119,24 @@ pub fn run_wavefront_op_on<T: Real, Op: StencilOp<T>>(
     ))
 }
 
-/// [`run_wavefront_op_on`] on a one-shot runtime — the classic form.
-/// The reported elapsed time includes the team spawn/join, as it
-/// always did.
-pub fn run_wavefront_op<T: Real, Op: StencilOp<T>>(
-    op: &Op,
-    pair: &mut GridPair<T>,
-    threads: usize,
-    sweeps: usize,
-) -> Result<RunStats, String> {
-    if threads == 0 {
-        return Err("wavefront needs at least one thread".into());
-    }
-    let t0 = Instant::now();
-    let stats = run_wavefront_op_on(&Runtime::with_threads(threads), op, pair, threads, sweeps)?;
-    Ok(if sweeps == 0 {
-        stats
-    } else {
-        RunStats::new(stats.cell_updates, t0.elapsed())
-    })
-}
-
-/// Classic-Jacobi form of [`run_wavefront_op_on`].
-pub fn run_wavefront_on<T: Real>(
-    rt: &Runtime,
-    pair: &mut GridPair<T>,
-    threads: usize,
-    sweeps: usize,
-) -> Result<RunStats, String> {
-    run_wavefront_op_on(rt, &Jacobi6, pair, threads, sweeps)
-}
-
-/// Classic-Jacobi form of [`run_wavefront_op`].
-pub fn run_wavefront<T: Real>(
-    pair: &mut GridPair<T>,
-    threads: usize,
-    sweeps: usize,
-) -> Result<RunStats, String> {
-    run_wavefront_op(&Jacobi6, pair, threads, sweeps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline;
+    use crate::op::Jacobi6;
+    use crate::test_runtime;
     use tb_grid::{init, norm, Dims3};
 
     fn reference(dims: Dims3, seed: u64, sweeps: usize) -> tb_grid::Grid3<f64> {
         let mut pair = GridPair::from_initial(init::random(dims, seed));
-        baseline::seq_sweeps(&mut pair, sweeps);
-        pair.current(sweeps).clone()
+        baseline::seq_sweeps_op(&Jacobi6, &mut pair, sweeps);
+        pair.into_current(sweeps)
     }
 
     fn check(dims: Dims3, threads: usize, sweeps: usize) {
         let want = reference(dims, 13, sweeps);
         let mut pair = GridPair::from_initial(init::random(dims, 13));
-        run_wavefront(&mut pair, threads, sweeps).unwrap();
+        run_wavefront_op_on(test_runtime(), &Jacobi6, &mut pair, threads, sweeps).unwrap();
         norm::assert_grids_identical(
             &want,
             pair.current(sweeps),
@@ -209,14 +171,14 @@ mod tests {
     fn stats_account_all_updates() {
         let dims = Dims3::cube(12);
         let mut pair: GridPair<f64> = GridPair::from_initial(init::random(dims, 2));
-        let s = run_wavefront(&mut pair, 2, 5).unwrap();
+        let s = run_wavefront_op_on(test_runtime(), &Jacobi6, &mut pair, 2, 5).unwrap();
         assert_eq!(s.cell_updates, (5 * dims.interior_len()) as u64);
     }
 
     #[test]
     fn zero_threads_rejected() {
         let mut pair: GridPair<f64> = GridPair::zeroed(Dims3::cube(8));
-        assert!(run_wavefront(&mut pair, 0, 1).is_err());
+        assert!(run_wavefront_op_on(test_runtime(), &Jacobi6, &mut pair, 0, 1).is_err());
     }
 
     #[test]
@@ -224,7 +186,7 @@ mod tests {
         let dims = Dims3::cube(8);
         let initial: tb_grid::Grid3<f64> = init::random(dims, 6);
         let mut pair = GridPair::from_initial(initial.clone());
-        run_wavefront(&mut pair, 2, 0).unwrap();
+        run_wavefront_op_on(test_runtime(), &Jacobi6, &mut pair, 2, 0).unwrap();
         norm::assert_grids_identical(&initial, pair.current(0), &Region3::whole(dims), "noop");
     }
 }

@@ -2,20 +2,29 @@
 //! geometry, minimum-legal block sizes, repeated runs to shake out
 //! scheduling nondeterminism — always with the region auditor armed.
 
+use std::sync::OnceLock;
+
 use tb_grid::{init, norm, Dims3, Grid3, GridPair, Region3};
+use tb_runtime::Runtime;
 use tb_stencil::config::{GridScheme, PipelineConfig};
-use tb_stencil::{baseline, pipeline, SyncMode};
+use tb_stencil::{baseline, pipeline, Jacobi6, SyncMode};
+
+/// One runtime for the whole suite, sized for the widest pipeline here.
+fn runtime() -> &'static Runtime {
+    static RT: OnceLock<Runtime> = OnceLock::new();
+    RT.get_or_init(|| Runtime::with_threads(12))
+}
 
 fn reference(dims: Dims3, seed: u64, sweeps: usize) -> Grid3<f64> {
     let mut pair = GridPair::from_initial(init::random(dims, seed));
-    baseline::seq_sweeps(&mut pair, sweeps);
-    pair.current(sweeps).clone()
+    baseline::seq_sweeps_op(&Jacobi6, &mut pair, sweeps);
+    pair.into_current(sweeps)
 }
 
 fn run_pipelined(dims: Dims3, seed: u64, sweeps: usize, cfg: &PipelineConfig) -> Grid3<f64> {
     let mut pair = GridPair::from_initial(init::random(dims, seed));
-    pipeline::run(&mut pair, cfg, sweeps).unwrap();
-    pair.current(sweeps).clone()
+    pipeline::run_op_on(runtime(), &Jacobi6, &mut pair, cfg, sweeps).unwrap();
+    pair.into_current(sweeps)
 }
 
 #[test]
@@ -135,7 +144,7 @@ fn compressed_stress_many_team_sweeps() {
     let want = reference(dims, 8, sweeps);
     let initial: Grid3<f64> = init::random(dims, 8);
     let mut cg = tb_grid::CompressedGrid::from_grid(&initial, cfg.stages());
-    pipeline::run_compressed(&mut cg, &cfg, sweeps).unwrap();
+    pipeline::run_compressed_op_on(runtime(), &Jacobi6, &mut cg, &cfg, sweeps).unwrap();
     norm::assert_grids_identical(&want, &cg.to_grid(), &Region3::whole(dims), "compressed 17");
 }
 

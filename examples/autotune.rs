@@ -11,7 +11,7 @@
 
 use temporal_blocking::plan::{PlanCache, TuneRow};
 use temporal_blocking::prelude::*;
-use temporal_blocking::{grid, solve_tuned_on, tuning_runtime, TuneOptions};
+use temporal_blocking::{grid, solve_tuned_with_on, tuning_runtime, TuneOptions};
 
 fn main() {
     let dims = temporal_blocking::cube_for_memory_budget(48);
@@ -39,7 +39,8 @@ fn main() {
 
     let initial = grid::init::random::<f64>(dims, 1);
     let opts = TuneOptions::default();
-    let (_, stats, tuned) = solve_tuned_on(&rt, initial.clone(), sweeps, &opts).unwrap();
+    let (_, stats, tuned) =
+        solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), sweeps, &opts).unwrap();
 
     if tuned.cache_hit {
         println!("\nwarm hit: replayed cached plan with zero measurements");

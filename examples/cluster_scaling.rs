@@ -12,7 +12,7 @@
 //! cargo run --release --example cluster_scaling
 //! ```
 
-use temporal_blocking::dist::{solver, Decomposition, DistJacobi, ExchangeMode, LocalExec};
+use temporal_blocking::dist::{solver, Decomposition, DistSolver, ExchangeMode, LocalExec};
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
 use temporal_blocking::net::{CartComm, Universe};
 use temporal_blocking::prelude::*;
@@ -36,7 +36,7 @@ fn main() {
         let ranks: usize = pgrid.iter().product();
         let dims = Dims3::cube(edge);
         let global: Grid3<f64> = init::random(dims, 7);
-        let want = solver::serial_reference(&global, sweeps);
+        let want = solver::serial_reference_op(&Jacobi6, &global, sweeps);
         let dec = Decomposition::new(dims, pgrid, halo);
 
         // Each rank runs a 2-thread pipeline with T=2 => depth 4 == halo.
@@ -61,11 +61,12 @@ fn main() {
             let dec_ref = &dec;
             let results = Universe::run(ranks, None, move |comm| {
                 let mut cart = CartComm::new(comm, pgrid);
-                let mut s = DistJacobi::from_global(
+                let mut s = DistSolver::from_global_op(
                     dec_ref,
                     cart.coords(),
                     global_ref,
                     LocalExec::Pipelined(cfg_ref.clone()),
+                    Jacobi6,
                 )
                 .expect("valid hybrid config")
                 .with_exchange_mode(mode);

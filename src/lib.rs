@@ -106,8 +106,7 @@ pub mod prelude {
         SlicePolicy,
     };
     pub use crate::{
-        solve, solve_on, solve_tuned_on, solve_tuned_with_on, solve_with, solve_with_on, Method,
-        TuneOptions, TunedSolve,
+        solve, solve_tuned_with_on, solve_with, solve_with_on, Method, TuneOptions, TunedSolve,
     };
     pub use tb_grid::{self as grid, Dims3, Grid3, GridPair, Real, Region3};
     pub use tb_model::MachineParams;
@@ -250,81 +249,33 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
     }
 }
 
-/// [`solve_with_on`] specialized to the classic 6-point Jacobi operator.
-pub fn solve_on<T: Real>(
-    rt: &Runtime,
-    initial: Grid3<T>,
-    sweeps: usize,
-    method: Method,
-) -> Result<(Grid3<T>, RunStats), String> {
-    solve_with_on(rt, &Jacobi6, initial, sweeps, method)
-}
-
 /// Run `sweeps` sweeps of the stencil operator `op` on `initial` with the
 /// chosen method. Returns the final grid and the run statistics.
 ///
-/// Parallel methods execute on a one-shot worker team per call; build a
-/// [`Runtime`] and use [`solve_with_on`] when solving repeatedly.
+/// A one-shot convenience over [`solve_with_on`]: each call builds a
+/// runtime sized for the method (no workers for `Sequential` and
+/// `Blocked`; a `Pipelined` config's `layout` pins its workers), solves
+/// on it and drops it. The returned [`RunStats`] time the solve only,
+/// not the team spawn and join. Build a [`Runtime`] once and call
+/// [`solve_with_on`] when solving repeatedly.
 ///
 /// For a fixed operator, all methods produce bitwise identical results
 /// (see crate docs).
 pub fn solve_with<T: Real, Op: StencilOp<T>>(
     op: &Op,
-    mut initial: Grid3<T>,
+    initial: Grid3<T>,
     sweeps: usize,
     method: Method,
 ) -> Result<(Grid3<T>, RunStats), String> {
-    match method {
-        Method::Sequential => {
-            let mut pair = GridPair::from_initial(initial);
-            let stats = baseline::seq_sweeps_op(op, &mut pair, sweeps);
-            Ok((pair.into_current(sweeps), stats))
+    let rt = match &method {
+        Method::Sequential | Method::Blocked { .. } => Runtime::with_threads(0),
+        Method::Parallel { threads, .. } | Method::Wavefront { threads } => {
+            Runtime::with_threads(*threads)
         }
-        Method::Blocked { block } => {
-            let mut pair = GridPair::from_initial(initial);
-            let stats = baseline::seq_blocked_sweeps_op(op, &mut pair, sweeps, block);
-            Ok((pair.into_current(sweeps), stats))
-        }
-        Method::Parallel {
-            threads,
-            streaming_stores,
-        } => {
-            if threads == 0 {
-                return Err("threads must be >= 1".into());
-            }
-            let store = if streaming_stores {
-                StoreMode::Streaming
-            } else {
-                StoreMode::Normal
-            };
-            let mut pair = GridPair::from_initial(initial);
-            let stats = baseline::par_sweeps_op(op, &mut pair, sweeps, threads, store, None);
-            Ok((pair.into_current(sweeps), stats))
-        }
-        Method::Pipelined(mut cfg) => {
-            cfg.scheme = GridScheme::TwoGrid;
-            let mut pair = GridPair::from_initial(initial);
-            let stats = pipeline::run_op(op, &mut pair, &cfg, sweeps)?;
-            Ok((pair.into_current(sweeps), stats))
-        }
-        Method::PipelinedCompressed(mut cfg) => {
-            cfg.scheme = GridScheme::Compressed;
-            let mut cg = CompressedGrid::from_grid(&initial, cfg.stages());
-            let stats = pipeline::run_compressed_op(op, &mut cg, &cfg, sweeps)?;
-            cg.copy_to(&mut initial);
-            Ok((initial, stats))
-        }
-        Method::Wavefront { threads } => {
-            let mut pair = GridPair::from_initial(initial);
-            let stats = wavefront::run_wavefront_op(op, &mut pair, threads, sweeps)?;
-            Ok((pair.into_current(sweeps), stats))
-        }
-        Method::Diamond(cfg) => {
-            let mut pair = GridPair::from_initial(initial);
-            let stats = diamond::run_diamond_op(op, &mut pair, &cfg, sweeps)?;
-            Ok((pair.into_current(sweeps), stats))
-        }
-    }
+        Method::Pipelined(cfg) | Method::PipelinedCompressed(cfg) => cfg.one_shot_runtime(),
+        Method::Diamond(cfg) => Runtime::with_threads(cfg.threads),
+    };
+    solve_with_on(&rt, op, initial, sweeps, method)
 }
 
 /// [`solve_with`] specialized to the classic 6-point Jacobi operator —
@@ -419,7 +370,7 @@ pub fn run_plan_on<T: Real, Op: StencilOp<T>>(
     }
 }
 
-/// Options for [`solve_tuned_on`] / [`solve_tuned_with_on`].
+/// Options for [`solve_tuned_with_on`].
 #[derive(Clone, Debug)]
 pub struct TuneOptions {
     /// Cache file; `None` uses [`tb_plan::PlanCache::default_path`]
@@ -616,16 +567,6 @@ pub fn solve_tuned_with_on<T: Real, Op: StencilOp<T>>(
     ))
 }
 
-/// [`solve_tuned_with_on`] specialized to the classic 6-point Jacobi.
-pub fn solve_tuned_on<T: Real>(
-    rt: &Runtime,
-    initial: Grid3<T>,
-    sweeps: usize,
-    opts: &TuneOptions,
-) -> Result<(Grid3<T>, RunStats, TunedSolve), String> {
-    solve_tuned_with_on(rt, &Jacobi6, initial, sweeps, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,30 +635,69 @@ mod tests {
 
     #[test]
     fn all_methods_agree_bitwise_for_every_operator() {
-        let dims = Dims3::cube(20);
-        let initial: Grid3<f64> = init::random(dims, 13);
-        let sweeps = 5;
-
-        fn check<Op: StencilOp<f64>>(op: &Op, initial: &Grid3<f64>, sweeps: usize) {
+        // Every one-shot `solve_with` builds exactly one runtime and
+        // delegates to `solve_with_on`: bitwise equal to the sequential
+        // oracle for every operator, zero sweeps included.
+        fn check<Op: StencilOp<f64>>(op: &Op, initial: &Grid3<f64>) {
             let dims = initial.dims();
-            let (want, _) = solve_with(op, initial.clone(), sweeps, Method::Sequential).unwrap();
-            for (name, m) in all_methods() {
-                let (got, _) = solve_with(op, initial.clone(), sweeps, m).unwrap();
-                norm::assert_grids_identical(
-                    &want,
-                    &got,
-                    &Region3::whole(dims),
-                    &format!("{} via {name}", op.name()),
-                );
+            for sweeps in [0, 1, 2, 5] {
+                let mut oracle = GridPair::from_initial(initial.clone());
+                tb_stencil::baseline::seq_sweeps_op(op, &mut oracle, sweeps);
+                let want = oracle.into_current(sweeps);
+                let methods = std::iter::once(("sequential", Method::Sequential));
+                for (name, m) in methods.chain(all_methods()) {
+                    let before = Runtime::constructed_on_this_thread();
+                    let (got, stats) = solve_with(op, initial.clone(), sweeps, m).unwrap();
+                    assert_eq!(
+                        Runtime::constructed_on_this_thread() - before,
+                        1,
+                        "{name}: one runtime per one-shot solve"
+                    );
+                    norm::assert_grids_identical(
+                        &want,
+                        &got,
+                        &Region3::whole(dims),
+                        &format!("{} via {name}, {sweeps} sweeps", op.name()),
+                    );
+                    assert_eq!(stats.cell_updates, (sweeps * dims.interior_len()) as u64);
+                }
             }
         }
-        check(&Jacobi7::heat(0.11), &initial, sweeps);
-        check(&VarCoeff7::banded(dims), &initial, sweeps);
-        check(&Avg27, &initial, sweeps);
+        let dims = Dims3::cube(20);
+        let initial: Grid3<f64> = init::random(dims, 13);
+        check(&Jacobi6, &initial);
+        check(&Jacobi7::heat(0.11), &initial);
+        check(&VarCoeff7::banded(dims), &initial);
+        check(&Avg27, &initial);
     }
 
     #[test]
-    fn solve_on_shared_runtime_agrees_with_solve_for_every_method() {
+    fn one_shot_errors_match_the_runtime_form() {
+        let g: Grid3<f64> = init::random(Dims3::cube(20), 3);
+        let tiny_blocks = PipelineConfig {
+            block: [1, 1, 1],
+            ..PipelineConfig::small()
+        };
+        let invalid = [
+            Method::Parallel {
+                threads: 0,
+                streaming_stores: false,
+            },
+            Method::Wavefront { threads: 0 },
+            Method::Pipelined(tiny_blocks.clone()),
+            Method::PipelinedCompressed(tiny_blocks),
+            Method::Diamond(DiamondConfig::with_width(4, 6).with_threads_per_tile(3)),
+        ];
+        let rt = Runtime::with_threads(8);
+        for m in invalid {
+            let want = solve_with_on(&rt, &Jacobi6, g.clone(), 2, m.clone()).unwrap_err();
+            let got = solve_with(&Jacobi6, g.clone(), 2, m.clone()).unwrap_err();
+            assert_eq!(got, want, "{m:?}");
+        }
+    }
+
+    #[test]
+    fn solve_with_on_shared_runtime_agrees_with_solve_for_every_method() {
         let dims = Dims3::cube(20);
         let initial: Grid3<f64> = init::random(dims, 21);
         let sweeps = 5;
@@ -725,7 +705,8 @@ mod tests {
         let rt = Runtime::with_threads(3);
         for round in 0..2 {
             for (name, m) in all_methods() {
-                let (got, stats) = solve_on(&rt, initial.clone(), sweeps, m).unwrap();
+                let (got, stats) =
+                    solve_with_on(&rt, &Jacobi6, initial.clone(), sweeps, m).unwrap();
                 norm::assert_grids_identical(
                     &want,
                     &got,
@@ -741,12 +722,13 @@ mod tests {
     }
 
     #[test]
-    fn solve_on_rejects_undersized_runtime() {
+    fn solve_with_on_rejects_undersized_runtime() {
         let dims = Dims3::cube(20);
         let g: Grid3<f64> = init::random(dims, 1);
         let rt = Runtime::with_threads(1);
-        assert!(solve_on(
+        assert!(solve_with_on(
             &rt,
+            &Jacobi6,
             g,
             2,
             Method::Parallel {

@@ -2,7 +2,7 @@
 //!
 //! The scheme's contract: for any geometry, team size, diamond width,
 //! sweep count and operator, the diamond executor — on a shared
-//! persistent runtime *and* through the one-shot classic wrappers —
+//! persistent runtime *and* through the one-shot `solve_with` —
 //! produces grids **bitwise identical** to the plain parallel baseline
 //! and to the operator's sequential oracle. A distributed section holds
 //! `LocalExec::Diamond` (including the overlapped trapezoid drive) to
@@ -62,12 +62,12 @@ fn assert_diamond_matches_everything<Op: StencilOp<f64>>(
         "baseline diverged from oracle (pre-existing bug)"
     );
 
-    // Diamond through the classic one-shot wrapper...
-    let (classic, stats) = solve_with(op, initial.clone(), sweeps, method.clone()).unwrap();
-    let mismatch = norm::first_mismatch(&oracle, &classic, &Region3::whole(dims));
+    // Diamond through the one-shot `solve_with`...
+    let (one_shot, stats) = solve_with(op, initial.clone(), sweeps, method.clone()).unwrap();
+    let mismatch = norm::first_mismatch(&oracle, &one_shot, &Region3::whole(dims));
     prop_assert!(
         mismatch.is_none(),
-        "{} diamond t={threads} w={width} sweeps={sweeps}: classic run diverged at {mismatch:?}",
+        "{} diamond t={threads} w={width} sweeps={sweeps}: one-shot run diverged at {mismatch:?}",
         op.name()
     );
     // Diamond must update every interior cell exactly once per sweep.
@@ -89,7 +89,7 @@ proptest! {
 
     /// Random dims × team size × width × sweeps × operator:
     /// diamond ≡ parallel baseline ≡ sequential oracle, bitwise, on
-    /// both the shared runtime and the one-shot wrappers.
+    /// both the shared runtime and a one-shot runtime.
     #[test]
     fn diamond_bitwise_identical_to_baseline_and_oracle(
         nx in 8usize..24,
@@ -135,7 +135,7 @@ proptest! {
         let mut pgrid = [1usize, 1, 1];
         pgrid[axis] = 2;
         let global: Grid3<f64> = init::random(dims, seed);
-        let want = solver::serial_reference(&global, sweeps);
+        let want = solver::serial_reference_op(&Jacobi6, &global, sweeps);
         let dec = Decomposition::new(dims, pgrid, h);
         let mode = if overlapped { ExchangeMode::Overlapped } else { ExchangeMode::Sync };
         let cfg = DiamondConfig { threads: 2, width, threads_per_tile: 1, audit: true };

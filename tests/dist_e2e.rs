@@ -1,8 +1,6 @@
 //! Distributed end-to-end tests spanning tb-net, tb-dist and tb-stencil.
 
-use temporal_blocking::dist::{
-    solver, Decomposition, DistJacobi, DistSolver, ExchangeMode, LocalExec,
-};
+use temporal_blocking::dist::{solver, Decomposition, DistSolver, ExchangeMode, LocalExec};
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
 use temporal_blocking::net::{CartComm, SimNet, Universe};
 use temporal_blocking::stencil::config::GridScheme;
@@ -16,13 +14,15 @@ fn run_and_verify(
     exec: impl Fn() -> LocalExec + Send + Sync,
 ) {
     let global: Grid3<f64> = init::random(dims, 2024);
-    let want = solver::serial_reference(&global, sweeps);
+    let want = solver::serial_reference_op(&Jacobi6, &global, sweeps);
     let dec = Decomposition::new(dims, pgrid, h);
     let ranks = dec.ranks();
     let (global_ref, want_ref, exec_ref) = (&global, &want, &exec);
     Universe::run(ranks, None, move |comm| {
         let mut cart = CartComm::new(comm, pgrid);
-        let mut s = DistJacobi::from_global(&dec, cart.coords(), global_ref, exec_ref()).unwrap();
+        let mut s =
+            DistSolver::from_global_op(&dec, cart.coords(), global_ref, exec_ref(), Jacobi6)
+                .unwrap();
         s.run_sweeps(&mut cart, sweeps);
         if let Some(got) = s.gather_global(&mut cart, &dec, global_ref) {
             norm::assert_grids_identical(
@@ -76,7 +76,8 @@ fn virtual_time_cluster_accumulates() {
     let times = Universe::run(4, Some(net), move |comm| {
         let mut cart = CartComm::new(comm, pgrid);
         let mut s =
-            DistJacobi::from_global(&dec, cart.coords(), global_ref, LocalExec::Seq).unwrap();
+            DistSolver::from_global_op(&dec, cart.coords(), global_ref, LocalExec::Seq, Jacobi6)
+                .unwrap();
         // Model compute: 1 us per sweep per rank (arbitrary, monotone).
         for _ in 0..3 {
             cart.comm.advance(1e-6);
@@ -192,10 +193,11 @@ fn overlap_hides_communication_under_the_virtual_network() {
         let (g, dec_ref) = (&global, &dec);
         let outs = Universe::run(4, Some(SimNet::qdr_infiniband()), move |comm| {
             let mut cart = CartComm::new(comm, pgrid);
-            let mut s = DistJacobi::from_global(dec_ref, cart.coords(), g, LocalExec::Seq)
-                .unwrap()
-                .with_exchange_mode(mode)
-                .with_virtual_compute(1e8);
+            let mut s =
+                DistSolver::from_global_op(dec_ref, cart.coords(), g, LocalExec::Seq, Jacobi6)
+                    .unwrap()
+                    .with_exchange_mode(mode)
+                    .with_virtual_compute(1e8);
             s.run_sweeps(&mut cart, sweeps);
             (cart.comm.comm_seconds(), cart.comm.time())
         });

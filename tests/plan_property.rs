@@ -9,7 +9,7 @@ use temporal_blocking::plan::{
     PlanMethod,
 };
 use temporal_blocking::prelude::*;
-use temporal_blocking::{solve_tuned_on, solve_tuned_with_on, solve_with, Method, TuneOptions};
+use temporal_blocking::{solve_tuned_with_on, solve_with, Jacobi6, Method, TuneOptions};
 
 fn tmp_cache(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tb-plan-e2e-{}", std::process::id()));
@@ -88,13 +88,13 @@ fn second_tuned_solve_is_a_warm_hit_with_zero_measurements() {
     let rt = Runtime::with_threads(2);
     let opts = quick_opts("warm-hit.json");
 
-    let (_, _, cold) = solve_tuned_on(&rt, initial.clone(), 4, &opts).unwrap();
+    let (_, _, cold) = solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), 4, &opts).unwrap();
     assert!(!cold.cache_hit);
     assert!(cold.measurements > 0, "cold tune must measure");
     let report = cold.report.as_ref().expect("cold tune reports");
     assert!(report.pruning_ratio() <= 0.5, "{}", report.pruning_ratio());
 
-    let (_, _, warm) = solve_tuned_on(&rt, initial, 4, &opts).unwrap();
+    let (_, _, warm) = solve_tuned_with_on(&rt, &Jacobi6, initial, 4, &opts).unwrap();
     assert!(warm.cache_hit, "second solve replays the cache");
     assert_eq!(warm.measurements, 0, "a warm hit costs no measurement");
     assert!(!warm.calibrated, "a warm hit runs no membench");
@@ -110,16 +110,16 @@ fn stale_schema_cache_entries_are_rejected() {
     let opts = quick_opts("stale-schema.json");
     let path = opts.cache_path.clone().unwrap();
 
-    let (_, _, cold) = solve_tuned_on(&rt, initial.clone(), 4, &opts).unwrap();
+    let (_, _, cold) = solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), 4, &opts).unwrap();
     assert!(!cold.cache_hit);
     // Corrupt the schema version on disk: the whole file is distrusted
     // and the next solve re-tunes (then heals the file).
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::write(&path, text.replace("\"schema\":1", "\"schema\":999")).unwrap();
-    let (_, _, again) = solve_tuned_on(&rt, initial.clone(), 4, &opts).unwrap();
+    let (_, _, again) = solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), 4, &opts).unwrap();
     assert!(!again.cache_hit, "stale schema must force a re-tune");
     assert!(again.measurements > 0);
-    let (_, _, healed) = solve_tuned_on(&rt, initial, 4, &opts).unwrap();
+    let (_, _, healed) = solve_tuned_with_on(&rt, &Jacobi6, initial, 4, &opts).unwrap();
     assert!(healed.cache_hit, "the re-tune rewrote a valid cache");
 }
 
@@ -219,7 +219,7 @@ fn family_restriction_and_force_retune_are_honored() {
     let mut opts = quick_opts("family.json");
     opts.families = vec![MethodFamily::Wavefront];
 
-    let (_, _, tuned) = solve_tuned_on(&rt, initial.clone(), 4, &opts).unwrap();
+    let (_, _, tuned) = solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), 4, &opts).unwrap();
     assert_eq!(tuned.plan.method.family(), MethodFamily::Wavefront);
     // Every measured row stayed inside the requested family (the
     // incumbent included).
@@ -228,7 +228,7 @@ fn family_restriction_and_force_retune_are_honored() {
     }
 
     opts.force_retune = true;
-    let (_, _, retuned) = solve_tuned_on(&rt, initial, 4, &opts).unwrap();
+    let (_, _, retuned) = solve_tuned_with_on(&rt, &Jacobi6, initial, 4, &opts).unwrap();
     assert!(!retuned.cache_hit, "force_retune bypasses the cache");
     assert!(retuned.measurements > 0);
 }
@@ -257,7 +257,8 @@ fn concurrent_tuned_solves_share_one_cache_entry_and_never_corrupt_the_file() {
             let (initial, opts, want) = (initial.clone(), opts.clone(), want.clone());
             std::thread::spawn(move || {
                 let rt = Runtime::with_threads(2);
-                let (got, _, tuned) = solve_tuned_on(&rt, initial, 3, &opts).unwrap();
+                let (got, _, tuned) =
+                    solve_tuned_with_on(&rt, &Jacobi6, initial, 3, &opts).unwrap();
                 grid::norm::assert_grids_identical(
                     &want,
                     &got,
@@ -284,7 +285,7 @@ fn concurrent_tuned_solves_share_one_cache_entry_and_never_corrupt_the_file() {
     // Every thread either tuned or hit the single shared entry; a rerun
     // is now warm for everyone.
     let rt = Runtime::with_threads(2);
-    let (_, _, tuned) = solve_tuned_on(&rt, initial, 3, &opts).unwrap();
+    let (_, _, tuned) = solve_tuned_with_on(&rt, &Jacobi6, initial, 3, &opts).unwrap();
     assert!(tuned.cache_hit, "after the race the cache must be warm");
     assert_eq!(tuned.measurements, 0);
     let _ = hits; // any count 0..=5 is legal; ordering is the OS's call

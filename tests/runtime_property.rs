@@ -1,11 +1,10 @@
 //! Property-based and reuse tests for the persistent worker runtime.
 //!
-//! The refactor's contract: executing any solver on a persistent
-//! [`Runtime`] — including a *shared, oversized* runtime reused across
-//! many solves — is bitwise identical to the classic per-call entry
-//! points (which the long-standing suites pin to the sequential oracle),
-//! and a solve on a runtime neither spawns workers nor builds a team of
-//! its own.
+//! The contract: a solve on the *shared, oversized* runtime reused
+//! across many solves is bitwise identical to the same solve on a fresh
+//! one-shot runtime sized for the method (what `solve_with` builds per
+//! call), and both equal the sequential oracle; a solve on a runtime
+//! neither spawns workers nor builds a team of its own.
 
 use std::sync::OnceLock;
 
@@ -16,8 +15,8 @@ use temporal_blocking::net::{CartComm, Universe};
 use temporal_blocking::runtime::Runtime;
 use temporal_blocking::stencil::config::GridScheme;
 use temporal_blocking::{
-    solve_on, solve_with, solve_with_on, Avg27, DiamondConfig, Jacobi6, Jacobi7, Method,
-    PipelineConfig, StencilOp, SyncMode, VarCoeff7,
+    solve_with, solve_with_on, Avg27, DiamondConfig, Jacobi6, Jacobi7, Method, PipelineConfig,
+    StencilOp, SyncMode, VarCoeff7,
 };
 
 /// One shared runtime for every proptest case: bigger than any case
@@ -28,9 +27,9 @@ fn shared_runtime() -> &'static Runtime {
 }
 
 /// Every parallel method, on the shared persistent runtime, must equal
-/// the classic entry point's result bitwise — for random geometry, team
-/// shape, and operator.
-fn assert_runtime_matches_classic<Op: StencilOp<f64>>(
+/// its result on a fresh one-shot runtime bitwise — for random geometry,
+/// team shape, and operator.
+fn assert_shared_matches_one_shot<Op: StencilOp<f64>>(
     op: &Op,
     dims: Dims3,
     seed: u64,
@@ -73,9 +72,9 @@ fn assert_runtime_matches_classic<Op: StencilOp<f64>>(
     ];
     let rt = shared_runtime();
     for (name, m) in methods {
-        let (classic, _) = solve_with(op, initial.clone(), sweeps, m.clone()).unwrap();
+        let (one_shot, _) = solve_with(op, initial.clone(), sweeps, m.clone()).unwrap();
         let (on_rt, _) = solve_with_on(rt, op, initial.clone(), sweeps, m).unwrap();
-        let mismatch = norm::first_mismatch(&classic, &on_rt, &Region3::whole(dims));
+        let mismatch = norm::first_mismatch(&one_shot, &on_rt, &Region3::whole(dims));
         prop_assert!(
             mismatch.is_none(),
             "{} via {name}: shared-runtime result diverged at {mismatch:?}",
@@ -106,8 +105,8 @@ fn assert_runtime_matches_classic<Op: StencilOp<f64>>(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
 
-    /// Random dims × team shape × sweep count × operator: persistent
-    /// runtime ≡ classic executors ≡ sequential oracle, bitwise.
+    /// Random dims × team shape × sweep count × operator: shared
+    /// runtime ≡ one-shot runtime ≡ sequential oracle, bitwise.
     #[test]
     fn runtime_executors_bitwise_identical(
         nx in 10usize..22,
@@ -122,10 +121,10 @@ proptest! {
     ) {
         let dims = Dims3::new(nx, ny, nz);
         match which_op {
-            0 => assert_runtime_matches_classic(&Jacobi6, dims, seed, sweeps, team_size, n_teams, upt)?,
-            1 => assert_runtime_matches_classic(&Jacobi7::heat(0.1), dims, seed, sweeps, team_size, n_teams, upt)?,
-            2 => assert_runtime_matches_classic(&VarCoeff7::banded(dims), dims, seed, sweeps, team_size, n_teams, upt)?,
-            _ => assert_runtime_matches_classic(&Avg27, dims, seed, sweeps, team_size, n_teams, upt)?,
+            0 => assert_shared_matches_one_shot(&Jacobi6, dims, seed, sweeps, team_size, n_teams, upt)?,
+            1 => assert_shared_matches_one_shot(&Jacobi7::heat(0.1), dims, seed, sweeps, team_size, n_teams, upt)?,
+            2 => assert_shared_matches_one_shot(&VarCoeff7::banded(dims), dims, seed, sweeps, team_size, n_teams, upt)?,
+            _ => assert_shared_matches_one_shot(&Avg27, dims, seed, sweeps, team_size, n_teams, upt)?,
         }
     }
 }
@@ -164,14 +163,16 @@ fn many_solves_on_one_runtime_reuse_without_leaks() {
     // runtimes of their own concurrently, so the process-wide thread
     // count is no measure here: the runtime's own spawn ledger and this
     // thread's construction count are moved by nothing but this test.
-    let (want, _) = solve_on(&rt, initial.clone(), sweeps, methods[0].clone()).unwrap();
+    let (want, _) =
+        solve_with_on(&rt, &Jacobi6, initial.clone(), sweeps, methods[0].clone()).unwrap();
     let spawned = rt.spawned_workers();
     let constructed = Runtime::constructed_on_this_thread();
     assert_eq!(spawned, 3, "one spawn per worker, no comm worker");
 
     for round in 0..10 {
         for m in &methods {
-            let (got, _) = solve_on(&rt, initial.clone(), sweeps, m.clone()).unwrap();
+            let (got, _) =
+                solve_with_on(&rt, &Jacobi6, initial.clone(), sweeps, m.clone()).unwrap();
             norm::assert_grids_identical(
                 &want,
                 &got,
@@ -197,15 +198,15 @@ fn many_solves_on_one_runtime_reuse_without_leaks() {
 /// serial oracle.
 #[test]
 fn dist_solver_on_shared_runtimes_matches_serial() {
-    use temporal_blocking::dist::solver::serial_reference;
-    use temporal_blocking::dist::{Decomposition, DistJacobi, ExchangeMode, LocalExec};
+    use temporal_blocking::dist::solver::serial_reference_op;
+    use temporal_blocking::dist::{Decomposition, DistSolver, ExchangeMode, LocalExec};
 
     let dims = Dims3::cube(20);
     let pgrid = [2, 1, 1];
     let h = 2;
     let sweeps = 7;
     let global: Grid3<f64> = init::random(dims, 5);
-    let want = serial_reference(&global, sweeps);
+    let want = serial_reference_op(&Jacobi6, &global, sweeps);
     let dec = Decomposition::new(dims, pgrid, h);
     let cfg = PipelineConfig {
         team_size: 2,
@@ -223,11 +224,12 @@ fn dist_solver_on_shared_runtimes_matches_serial() {
         // Each rank owns a persistent runtime (2 compute workers + a
         // comm worker) and runs several multi-sweep solves on it.
         let rt = Runtime::from_cpus(vec![None; 2], Some(None));
-        let mut solver = DistJacobi::from_global(
+        let mut solver = DistSolver::from_global_op(
             dec_ref,
             cart.coords(),
             g,
             LocalExec::Pipelined(cfg_ref.clone()),
+            Jacobi6,
         )
         .unwrap()
         .with_exchange_mode(ExchangeMode::OverlappedCommThread);
