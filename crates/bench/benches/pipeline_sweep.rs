@@ -5,7 +5,6 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use tb_grid::{init, Dims3, GridPair};
 use tb_runtime::Runtime;
-use tb_stencil::config::GridScheme;
 use tb_stencil::kernel::StoreMode;
 use tb_stencil::{baseline, pipeline, wavefront, Jacobi6, PipelineConfig, SyncMode};
 
@@ -19,7 +18,6 @@ fn cfg(sync: SyncMode) -> PipelineConfig {
         updates_per_thread: 2,
         block: [32, 16, 16],
         sync,
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: false,
     }

@@ -7,7 +7,6 @@
 use tb_bench::{best_of, problem, Args};
 use tb_grid::GridPair;
 use tb_runtime::Runtime;
-use tb_stencil::config::GridScheme;
 use tb_stencil::{pipeline, Jacobi6, PipelineConfig, SyncMode};
 use tb_topology::TeamLayout;
 
@@ -31,7 +30,6 @@ fn main() {
             updates_per_thread: 1,
             block: [edge.min(120), 20, 20],
             sync: SyncMode::Relaxed { dl: 1, du: 4, dt },
-            scheme: GridScheme::TwoGrid,
             layout: None,
             audit: false,
         };

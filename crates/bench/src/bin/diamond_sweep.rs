@@ -27,7 +27,6 @@ use std::io::Write as _;
 use tb_bench::{problem, warmed_best_of, Args};
 use tb_grid::{norm, Grid3, GridPair, Region3};
 use tb_runtime::Runtime;
-use tb_stencil::config::GridScheme;
 use tb_stencil::{
     baseline, diamond, pipeline, wavefront, DiamondConfig, Jacobi6, PipelineConfig, ScalarPath,
     StencilOp, SyncMode,
@@ -55,7 +54,6 @@ fn pipeline_cfg(team: usize) -> PipelineConfig {
         updates_per_thread: 1,
         block: [16, 8, 8],
         sync: SyncMode::relaxed_default(),
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: false,
     }

@@ -12,7 +12,6 @@ use tb_bench::{best_of, problem, row, Args};
 use tb_grid::GridPair;
 use tb_model::{pipeline_speedup, roofline, MachineParams};
 use tb_runtime::Runtime;
-use tb_stencil::config::GridScheme;
 use tb_stencil::kernel::StoreMode;
 use tb_stencil::{baseline, pipeline, Jacobi6, PipelineConfig, SyncMode};
 use tb_topology::TeamLayout;
@@ -142,7 +141,6 @@ fn host(args: &Args) {
                 updates_per_thread: upd,
                 block: [edge.min(120), 20, 20],
                 sync,
-                scheme: GridScheme::TwoGrid,
                 layout: None,
                 audit: false,
             };

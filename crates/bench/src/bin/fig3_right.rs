@@ -10,7 +10,6 @@
 use tb_bench::{best_of, problem, Args};
 use tb_grid::GridPair;
 use tb_runtime::Runtime;
-use tb_stencil::config::GridScheme;
 use tb_stencil::{pipeline, Jacobi6, PipelineConfig, SyncMode};
 use tb_topology::TeamLayout;
 
@@ -48,7 +47,6 @@ fn main() {
                 updates_per_thread: 2,
                 block: [edge.min(120), 20, 20],
                 sync,
-                scheme: GridScheme::TwoGrid,
                 layout: None,
                 audit: false,
             };

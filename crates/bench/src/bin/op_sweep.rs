@@ -19,7 +19,6 @@ use tb_dist::{Decomposition, DistSolver, LocalExec};
 use tb_grid::{norm, CompressedGrid, Grid3, GridPair, Region3};
 use tb_net::{CartComm, Universe};
 use tb_runtime::Runtime;
-use tb_stencil::config::GridScheme;
 use tb_stencil::kernel::StoreMode;
 use tb_stencil::{
     baseline, diamond, pipeline, wavefront, Avg27, DiamondConfig, Jacobi6, Jacobi7, PipelineConfig,
@@ -35,14 +34,13 @@ struct Row {
     verified: bool,
 }
 
-fn pipeline_cfg(scheme: GridScheme) -> PipelineConfig {
+fn pipeline_cfg() -> PipelineConfig {
     PipelineConfig {
         team_size: 2,
         n_teams: 1,
         updates_per_thread: 1,
         block: [16, 8, 8],
         sync: SyncMode::relaxed_default(),
-        scheme,
         layout: None,
         audit: false,
     }
@@ -125,13 +123,13 @@ fn sweep_op<Op: StencilOp<f64>>(
         (pair.into_current(sweeps), s)
     }));
     rows.push(cell(op, "pipelined", "on", &oracle, reps, || {
-        let cfg = pipeline_cfg(GridScheme::TwoGrid);
+        let cfg = pipeline_cfg();
         let mut pair = GridPair::from_initial(initial.clone());
         let s = pipeline::run_op_on(rt, op, &mut pair, &cfg, sweeps).expect("valid config");
         (pair.into_current(sweeps), s)
     }));
     rows.push(cell(op, "compressed", "on", &oracle, reps, || {
-        let cfg = pipeline_cfg(GridScheme::Compressed);
+        let cfg = pipeline_cfg();
         let mut cg = CompressedGrid::from_grid(&initial, cfg.stages());
         let s =
             pipeline::run_compressed_op_on(rt, op, &mut cg, &cfg, sweeps).expect("valid config");

@@ -14,7 +14,6 @@
 use tb_bench::{problem, Args};
 use tb_grid::{norm, CompressedGrid, Grid3, GridPair, Region3};
 use tb_runtime::Runtime;
-use tb_stencil::config::GridScheme;
 use tb_stencil::kernel::StoreMode;
 use tb_stencil::{
     baseline, pipeline, wavefront, Avg27, Jacobi6, PipelineConfig, StencilOp, SyncMode,
@@ -32,14 +31,13 @@ fn thread_count() -> Option<usize> {
         .ok()
 }
 
-fn cfg(scheme: GridScheme) -> PipelineConfig {
+fn cfg() -> PipelineConfig {
     PipelineConfig {
         team_size: 2,
         n_teams: 1,
         updates_per_thread: 1,
         block: [16, 8, 8],
         sync: SyncMode::relaxed_default(),
-        scheme,
         layout: None,
         audit: false,
     }
@@ -73,11 +71,11 @@ fn solve_matrix<Op: StencilOp<f64>>(
     }
     {
         let mut pair = GridPair::from_initial(initial.clone());
-        pipeline::run_op_on(rt, op, &mut pair, &cfg(GridScheme::TwoGrid), sweeps).unwrap();
+        pipeline::run_op_on(rt, op, &mut pair, &cfg(), sweeps).unwrap();
         check("pipelined", pair.current(sweeps));
     }
     {
-        let c = cfg(GridScheme::Compressed);
+        let c = cfg();
         let mut cg = CompressedGrid::from_grid(initial, c.stages());
         pipeline::run_compressed_op_on(rt, op, &mut cg, &c, sweeps).unwrap();
         check("compressed", &cg.to_grid());

@@ -35,7 +35,6 @@ use std::time::Instant;
 use parking_lot::Mutex;
 use tb_grid::{Grid3, GridPair, Real, Region3};
 use tb_runtime::Runtime;
-use tb_stencil::config::GridScheme;
 use tb_stencil::pipeline::PipelineRun;
 use tb_stencil::{Jacobi6, PipelineConfig, RunStats};
 use tb_sync::SyncMode;
@@ -59,6 +58,23 @@ pub struct NumaNodeConfig {
     pub sync: SyncMode,
     /// Pin each team's threads to one cache group.
     pub pin: bool,
+}
+
+impl NumaNodeConfig {
+    /// The runtime [`run_numa_node_on`] expects for this config: one
+    /// worker per team thread, pinned per cache group when `pin` is set
+    /// (team `k`'s workers on group `k`'s CPUs), unpinned otherwise.
+    /// Build it once and reuse it across solves.
+    pub fn runtime(&self, machine: &Machine) -> Runtime {
+        let cpus: Vec<Option<usize>> = if self.pin {
+            (0..self.n_teams)
+                .flat_map(|k| group_layout(machine, k, self.team_size).cpus)
+                .collect()
+        } else {
+            vec![None; self.n_teams * self.team_size]
+        };
+        Runtime::from_cpus(cpus, None)
+    }
 }
 
 /// Pin layout for one team: `team_size` consecutive CPUs of cache group
@@ -85,8 +101,8 @@ fn group_layout(machine: &Machine, team: usize, team_size: usize) -> TeamLayout 
 /// subdomain, coupled by multi-layer slab halos along z, on the given
 /// persistent runtime (at least `team_size * n_teams` workers; team `k`
 /// uses workers `k·t .. (k+1)·t`, so pin the runtime with a layout whose
-/// teams match). Returns the final grid and merged stats (updates
-/// *include* the redundant ring work).
+/// teams match, as [`NumaNodeConfig::runtime`] does). Returns the final
+/// grid and merged stats (updates *include* the redundant ring work).
 pub fn run_numa_node_on<T: Real>(
     rt: &Runtime,
     initial: &Grid3<T>,
@@ -125,7 +141,6 @@ pub fn run_numa_node_on<T: Real>(
             updates_per_thread: cfg.updates_per_thread,
             block: cfg.block,
             sync: cfg.sync,
-            scheme: GridScheme::TwoGrid,
             layout: None, // placement belongs to the runtime's workers
             audit: false,
         };
@@ -244,29 +259,6 @@ pub fn run_numa_node_on<T: Real>(
     Ok((out, RunStats::new(updates, t0.elapsed())))
 }
 
-/// [`run_numa_node_on`] on a one-shot runtime: pinned per cache group
-/// when `cfg.pin` is set (team `k`'s workers on group `k`'s CPUs), a
-/// placement a caller cannot restate in one line.
-pub fn run_numa_node<T: Real>(
-    initial: &Grid3<T>,
-    machine: &Machine,
-    cfg: &NumaNodeConfig,
-    sweeps: usize,
-) -> Result<(Grid3<T>, RunStats), String> {
-    if cfg.n_teams == 0 || cfg.team_size == 0 || cfg.updates_per_thread == 0 {
-        return Err("team_size, n_teams, updates_per_thread must be >= 1".into());
-    }
-    let cpus: Vec<Option<usize>> = if cfg.pin {
-        (0..cfg.n_teams)
-            .flat_map(|k| group_layout(machine, k, cfg.team_size).cpus)
-            .collect()
-    } else {
-        vec![None; cfg.n_teams * cfg.team_size]
-    };
-    let rt = Runtime::from_cpus(cpus, None);
-    run_numa_node_on(&rt, initial, cfg, sweeps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,9 +286,10 @@ mod tests {
     fn matches_sequential_bitwise() {
         let dims = Dims3::cube(24);
         let initial: Grid3<f64> = init::random(dims, 17);
-        let m = Machine::flat(4);
+        let c = cfg(2, 2, 1);
+        let rt = c.runtime(&Machine::flat(4));
         for sweeps in [1usize, 4, 9] {
-            let (got, stats) = run_numa_node(&initial, &m, &cfg(2, 2, 1), sweeps).unwrap();
+            let (got, stats) = run_numa_node_on(&rt, &initial, &c, sweeps).unwrap();
             let want = reference(&initial, sweeps);
             norm::assert_grids_identical(
                 &want,
@@ -312,8 +305,9 @@ mod tests {
     fn three_teams_deep_pipeline() {
         let dims = Dims3::new(20, 20, 36);
         let initial: Grid3<f64> = init::random(dims, 23);
-        let m = Machine::nehalem_ep();
-        let (got, _) = run_numa_node(&initial, &m, &cfg(2, 3, 2), 10).unwrap();
+        let c = cfg(2, 3, 2);
+        let rt = c.runtime(&Machine::nehalem_ep());
+        let (got, _) = run_numa_node_on(&rt, &initial, &c, 10).unwrap();
         norm::assert_grids_identical(
             &reference(&initial, 10),
             &got,
@@ -329,7 +323,9 @@ mod tests {
         let m = Machine::nehalem_ep();
         let mut c = cfg(2, 2, 1);
         c.pin = true;
-        let (got, _) = run_numa_node(&initial, &m, &c, 6).unwrap();
+        let rt = c.runtime(&m);
+        assert_eq!(rt.threads(), 4);
+        let (got, _) = run_numa_node_on(&rt, &initial, &c, 6).unwrap();
         norm::assert_grids_identical(
             &reference(&initial, 6),
             &got,
@@ -370,9 +366,10 @@ mod tests {
     fn too_many_teams_rejected() {
         let dims = Dims3::cube(10);
         let initial: Grid3<f64> = init::random(dims, 1);
-        let m = Machine::flat(8);
+        let c = cfg(2, 6, 1);
+        let rt = c.runtime(&Machine::flat(8));
         // 10 cells over 6 teams -> owned slab 1 < h=2.
-        let err = run_numa_node(&initial, &m, &cfg(2, 6, 1), 4).unwrap_err();
+        let err = run_numa_node_on(&rt, &initial, &c, 4).unwrap_err();
         assert!(err.contains("halo width"), "{err}");
     }
 }

@@ -56,7 +56,6 @@ use std::time::Instant;
 use tb_grid::{BlockPartition, Grid3, GridPair, Real, Region3};
 use tb_net::{CartComm, Comm, Request};
 use tb_runtime::{PooledGrid, Runtime};
-use tb_stencil::config::GridScheme;
 use tb_stencil::diamond::{self, DiamondTiling};
 use tb_stencil::pipeline::PipelinePlan;
 use tb_stencil::{baseline, kernel, pipeline, DiamondConfig, PipelineConfig, RunStats, StencilOp};
@@ -163,8 +162,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         let local = dec.local(coords);
         let exec = match exec {
             LocalExec::Seq => LocalExec::Seq,
-            LocalExec::Pipelined(mut cfg) => {
-                cfg.scheme = GridScheme::TwoGrid; // the dist layer owns the buffers
+            LocalExec::Pipelined(cfg) => {
                 cfg.validate(local.dims)?;
                 if cfg.stages() > dec.h() / Op::RADIUS {
                     return Err(format!(
@@ -895,7 +893,6 @@ mod tests {
             updates_per_thread: 1,
             block: [8, 8, 8],
             sync: SyncMode::relaxed_default(),
-            scheme: GridScheme::TwoGrid,
             layout: None,
             audit: false,
         };
@@ -1069,7 +1066,6 @@ mod tests {
             updates_per_thread: 1,
             block: [8, 8, 8],
             sync: SyncMode::relaxed_default(),
-            scheme: GridScheme::TwoGrid,
             layout: None,
             audit: false,
         };

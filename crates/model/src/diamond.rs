@@ -20,7 +20,7 @@
 //! tile's planes stay cached, i.e. while the **working set**
 //!
 //! ```text
-//! W(w) = (2 + extra_read_streams) · (w + 2R) · nx · ny · bytes
+//! W(w) = (2 + EXTRA_READ_STREAMS) · (w + 2R) · nx · ny · bytes
 //! ```
 //!
 //! (both grid buffers over the widest slab plus its read halo, and the
@@ -55,8 +55,7 @@ pub fn diamond_working_set_bytes<T: Real, Op: StencilOp<T>>(
     let radius = Op::RADIUS;
     assert!(radius >= 1 && width >= 2 * radius);
     let planes = width + 2 * radius;
-    let streams = 2.0 + op.extra_read_streams();
-    (streams * (planes * nx * ny * T::bytes()) as f64) as usize
+    (op.bytes_per_lup(StoreMode::Streaming) * (planes * nx * ny) as f64) as usize
 }
 
 /// Largest diamond width whose per-tile working set (times the team
@@ -70,7 +69,7 @@ pub fn max_cached_width<T: Real, Op: StencilOp<T>>(
     team: usize,
 ) -> usize {
     let radius = Op::RADIUS;
-    let plane = ((2.0 + op.extra_read_streams()) * (nx * ny * T::bytes()) as f64) as usize;
+    let plane = (op.bytes_per_lup(StoreMode::Streaming) * (nx * ny) as f64) as usize;
     let team = team.max(1);
     if plane == 0 {
         return 2 * radius;
@@ -129,9 +128,9 @@ pub fn diamond_block_time_op<T: Real, Op: StencilOp<T>>(
     width: usize,
 ) -> f64 {
     let u = diamond_reuse(width, Op::RADIUS);
-    let bytes_mem = op.bytes_per_lup(StoreMode::Streaming);
-    let bytes_cache = (2.0 + op.extra_read_streams()) * T::bytes() as f64;
-    bytes_mem / machine.ms1 + (u - 1.0) * bytes_cache / machine.mc
+    // Memory and cache both move the streaming code balance per update.
+    let bytes = op.bytes_per_lup(StoreMode::Streaming);
+    bytes / machine.ms1 + (u - 1.0) * bytes / machine.mc
 }
 
 /// Expected speedup of diamond blocking over the standard solver — the

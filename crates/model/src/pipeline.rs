@@ -29,9 +29,9 @@ pub fn team_block_time_op<T: Real, Op: StencilOp<T>>(
 ) -> f64 {
     let tt = (t * updates) as f64;
     assert!(tt >= 1.0);
-    let bytes_mem = op.bytes_per_lup(StoreMode::Streaming);
-    let bytes_cache = (2.0 + op.extra_read_streams()) * T::bytes() as f64;
-    bytes_mem / machine.ms1 + (tt - 1.0) * bytes_cache / machine.mc
+    // Memory and cache both move the streaming code balance per update.
+    let bytes = op.bytes_per_lup(StoreMode::Streaming);
+    bytes / machine.ms1 + (tt - 1.0) * bytes / machine.mc
 }
 
 /// Eq. 4 as printed in the paper (classic Jacobi, double precision):

@@ -233,7 +233,7 @@ impl PlanCache {
         if entry.dims != [dims.nx, dims.ny, dims.nz] {
             return None;
         }
-        entry.plan.validate_for(dims, radius).ok()?;
+        entry.plan.method.validate(dims, radius).ok()?;
         Some(entry)
     }
 
@@ -415,7 +415,7 @@ impl SharedPlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{MethodFamily, PlanMethod};
+    use crate::ir::{Method, MethodFamily};
     use crate::key::MachineFingerprint;
     use crate::tuner::default_plan;
     use tb_topology::Machine;
@@ -500,11 +500,7 @@ mod tests {
         assert!(c.lookup(&key(dims), dims, 1).is_none());
         // A plan that no longer validates on the requested dims: no hit.
         let mut invalid = entry(dims);
-        invalid.plan = Plan::new(PlanMethod::Diamond {
-            threads: 4,
-            width: 2,
-            threads_per_tile: 1,
-        });
+        invalid.plan = Plan::new(Method::Diamond(tb_stencil::DiamondConfig::with_width(4, 2)));
         c.store(&key(dims), invalid);
         assert!(c.lookup(&key(dims), dims, 2).is_none());
     }
@@ -560,6 +556,58 @@ mod tests {
         assert_eq!(on_disk.len(), 1);
         assert_eq!(on_disk.lookup(&key(dims), dims, 1), Some(&entry(dims)));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Cache entries exactly as the previous plan layout wrote them, one
+    /// per tunable kind, each with the `"exchange"` key that layout
+    /// stored. They must keep loading into the expected `Method`, and
+    /// re-serialising them must give the same bytes minus that key.
+    const PREVIOUS_LAYOUT_ENTRIES: [&str; 5] = [
+        r#"{"plan":{"method":{"kind":"parallel","threads":8,"streaming_stores":true},"simd":true,"exchange":"sync"},"dims":[64,64,64],"measured_mlups":812.5,"predicted_mlups":900}"#,
+        r#"{"plan":{"method":{"kind":"pipelined","team_size":4,"n_teams":2,"updates_per_thread":2,"block":[120,20,20],"sync":{"mode":"relaxed","dl":1,"du":4,"dt":8}},"simd":false,"exchange":"sync"},"dims":[64,64,64],"measured_mlups":812.5,"predicted_mlups":900}"#,
+        r#"{"plan":{"method":{"kind":"compressed","team_size":4,"n_teams":2,"updates_per_thread":2,"block":[120,20,20],"sync":{"mode":"barrier"}},"simd":true,"exchange":"sync"},"dims":[64,64,64],"measured_mlups":812.5,"predicted_mlups":900}"#,
+        r#"{"plan":{"method":{"kind":"wavefront","threads":4},"simd":false,"exchange":"sync"},"dims":[64,64,64],"measured_mlups":812.5,"predicted_mlups":900}"#,
+        r#"{"plan":{"method":{"kind":"diamond","threads":4,"width":16,"threads_per_tile":2},"simd":true,"exchange":"sync"},"dims":[64,64,64],"measured_mlups":812.5,"predicted_mlups":900}"#,
+    ];
+
+    #[test]
+    fn previous_layout_entries_load_and_reserialize_byte_for_byte() {
+        use tb_stencil::{DiamondConfig, PipelineConfig, SyncMode};
+        let pipe = |sync| PipelineConfig {
+            team_size: 4,
+            n_teams: 2,
+            updates_per_thread: 2,
+            block: [120, 20, 20],
+            sync,
+            ..PipelineConfig::small()
+        };
+        let relaxed = SyncMode::Relaxed {
+            dl: 1,
+            du: 4,
+            dt: 8,
+        };
+        let want = [
+            Method::Parallel {
+                threads: 8,
+                streaming_stores: true,
+            },
+            Method::Pipelined(pipe(relaxed)),
+            Method::PipelinedCompressed(pipe(SyncMode::Barrier)),
+            Method::Wavefront { threads: 4 },
+            Method::Diamond(DiamondConfig::with_width(4, 16).with_threads_per_tile(2)),
+        ];
+        assert_eq!(SCHEMA_VERSION, 1, "previous caches must keep loading");
+        for (i, (text, method)) in PREVIOUS_LAYOUT_ENTRIES.iter().zip(want).enumerate() {
+            let entry = CacheEntry::from_json(&Json::parse(text).unwrap()).unwrap();
+            assert_eq!(entry.plan.method, method, "{text}");
+            assert_eq!(entry.plan.simd, i % 2 == 0, "{text}");
+            assert_eq!(entry.dims, [64, 64, 64]);
+            assert_eq!(
+                entry.to_json().to_json(),
+                text.replace(r#","exchange":"sync""#, ""),
+                "re-serialised entry differs"
+            );
+        }
     }
 
     #[test]

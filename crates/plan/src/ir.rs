@@ -1,23 +1,27 @@
-//! The strategy IR: a serializable execution [`Plan`].
+//! The strategy IR: [`Method`], the one name of an execution strategy,
+//! and the serializable [`Plan`] around it.
 //!
-//! A `Plan` pins down *everything* the facade needs to reproduce a
-//! solver run — the method and all of its parameters (`T`, block, `d_u`,
-//! sync mode, diamond width, MWD sub-team, team shape), the SIMD path,
-//! and the distributed exchange mode — in the spirit of Patus
-//! strategies: a small data program over the `auto`-tunable parameters,
-//! separated from the stencil itself. Plans round-trip through JSON
-//! (see [`crate::json`]) so winners can be persisted by the
-//! [`crate::cache`] and replayed without re-tuning.
+//! A `Method` pins down *everything* an executor needs to reproduce a
+//! solver run — which executor, and all of its parameters (`T`, block,
+//! `d_u` sync mode, diamond width, MWD sub-team, team shape). A `Plan`
+//! adds the SIMD path, in the spirit of Patus strategies: a small data
+//! program over the `auto`-tunable parameters, separated from the
+//! stencil itself. Plans round-trip through JSON (see [`crate::json`])
+//! so winners can be persisted by the [`crate::cache`] and replayed
+//! without re-tuning.
 
 use tb_grid::Dims3;
-use tb_stencil::config::GridScheme;
 use tb_stencil::{DiamondConfig, PipelineConfig, SyncMode};
 
 use crate::json::Json;
 
-/// The five tunable method families.
+/// Method families: the five tunable ones ([`MethodFamily::ALL`]) plus
+/// the sequential oracle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MethodFamily {
+    /// Sequential sweeps, plain or spatially blocked (the oracle; never
+    /// enumerated by the tuner).
+    Sequential,
     /// Thread-parallel standard sweeps (the baseline).
     Parallel,
     /// Pipelined temporal blocking on two grids.
@@ -31,6 +35,7 @@ pub enum MethodFamily {
 }
 
 impl MethodFamily {
+    /// The tunable families, in the tuner's order.
     pub const ALL: [MethodFamily; 5] = [
         MethodFamily::Parallel,
         MethodFamily::Pipelined,
@@ -41,6 +46,7 @@ impl MethodFamily {
 
     pub fn name(self) -> &'static str {
         match self {
+            MethodFamily::Sequential => "sequential",
             MethodFamily::Parallel => "parallel",
             MethodFamily::Pipelined => "pipelined",
             MethodFamily::Compressed => "compressed",
@@ -50,168 +56,118 @@ impl MethodFamily {
     }
 }
 
-/// Parameters of a pipelined run (shared by the two-grid and compressed
-/// schemes): the paper's `t`, `n`, `T`, block edges, and sync mode.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PipeParams {
-    pub team_size: usize,
-    pub n_teams: usize,
-    pub updates_per_thread: usize,
-    pub block: [usize; 3],
-    pub sync: SyncMode,
-}
-
-/// Method plus parameters — one arm per executor the facade exposes.
+/// Solver selection: one arm per executor, carrying all of its
+/// parameters. The facade's `solve*` functions take it directly, and a
+/// [`Plan`] stores it.
 #[derive(Clone, PartialEq, Debug)]
-pub enum PlanMethod {
+pub enum Method {
+    /// Plain sequential sweeps (the verification oracle).
+    Sequential,
+    /// Sequential sweeps with spatial blocking.
+    Blocked { block: [usize; 3] },
+    /// Thread-parallel standard sweeps (the paper's baseline).
     Parallel {
         threads: usize,
         streaming_stores: bool,
     },
-    Pipelined(PipeParams),
-    Compressed(PipeParams),
-    Wavefront {
-        threads: usize,
-    },
-    Diamond {
-        threads: usize,
-        width: usize,
-        threads_per_tile: usize,
-    },
+    /// Pipelined temporal blocking (the paper's contribution, §1.3).
+    Pipelined(PipelineConfig),
+    /// Pipelined temporal blocking on a compressed grid (§1.3).
+    PipelinedCompressed(PipelineConfig),
+    /// Wavefront temporal blocking (the paper's ref. 2, comparator).
+    Wavefront { threads: usize },
+    /// Wavefront-diamond temporal blocking (Malas, Hager et al. 2015):
+    /// diamond tiles along z × time, no wind-up/wind-down waste, one
+    /// width knob instead of block sizes and sync distances.
+    Diamond(DiamondConfig),
 }
 
-impl PlanMethod {
+impl Method {
     pub fn family(&self) -> MethodFamily {
         match self {
-            PlanMethod::Parallel { .. } => MethodFamily::Parallel,
-            PlanMethod::Pipelined(_) => MethodFamily::Pipelined,
-            PlanMethod::Compressed(_) => MethodFamily::Compressed,
-            PlanMethod::Wavefront { .. } => MethodFamily::Wavefront,
-            PlanMethod::Diamond { .. } => MethodFamily::Diamond,
+            Method::Sequential | Method::Blocked { .. } => MethodFamily::Sequential,
+            Method::Parallel { .. } => MethodFamily::Parallel,
+            Method::Pipelined(_) => MethodFamily::Pipelined,
+            Method::PipelinedCompressed(_) => MethodFamily::Compressed,
+            Method::Wavefront { .. } => MethodFamily::Wavefront,
+            Method::Diamond(_) => MethodFamily::Diamond,
         }
     }
 
-    /// Compute threads the method occupies.
+    /// Compute workers the method occupies (0 for the sequential
+    /// methods, which run on the calling thread).
     pub fn threads(&self) -> usize {
         match self {
-            PlanMethod::Parallel { threads, .. } | PlanMethod::Wavefront { threads } => *threads,
-            PlanMethod::Pipelined(p) | PlanMethod::Compressed(p) => p.team_size * p.n_teams,
-            PlanMethod::Diamond { threads, .. } => *threads,
-        }
-    }
-}
-
-/// Halo-exchange mode for distributed solves, mirrored from
-/// `tb_dist::ExchangeMode` without the dependency. Recorded in every
-/// plan so a scheduler can replay hybrid runs; shared-memory solves
-/// ignore it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ExchangeIr {
-    #[default]
-    Sync,
-    Overlapped,
-    OverlappedCommThread,
-}
-
-impl ExchangeIr {
-    pub fn name(self) -> &'static str {
-        match self {
-            ExchangeIr::Sync => "sync",
-            ExchangeIr::Overlapped => "overlapped",
-            ExchangeIr::OverlappedCommThread => "overlapped-comm-thread",
+            Method::Sequential | Method::Blocked { .. } => 0,
+            Method::Parallel { threads, .. } | Method::Wavefront { threads } => *threads,
+            Method::Pipelined(cfg) | Method::PipelinedCompressed(cfg) => cfg.threads(),
+            Method::Diamond(cfg) => cfg.threads,
         }
     }
 
-    fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "sync" => Some(ExchangeIr::Sync),
-            "overlapped" => Some(ExchangeIr::Overlapped),
-            "overlapped-comm-thread" => Some(ExchangeIr::OverlappedCommThread),
-            _ => None,
-        }
-    }
-}
-
-/// One reified execution plan.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Plan {
-    pub method: PlanMethod,
-    /// Route through the vectorized row kernels (`true`) or pin the
-    /// scalar path. Bitwise-identical either way; throughput differs.
-    pub simd: bool,
-    /// Distributed halo-exchange mode (ignored by shared-memory solves).
-    pub exchange: ExchangeIr,
-}
-
-impl Plan {
-    /// Plan for a method with the library defaults for the rest.
-    pub fn new(method: PlanMethod) -> Self {
-        Plan {
-            method,
-            simd: true,
-            exchange: ExchangeIr::Sync,
-        }
-    }
-
-    /// The pipeline configuration this plan encodes, when its method is
-    /// one of the two pipelined families.
-    pub fn pipeline_config(&self) -> Option<PipelineConfig> {
-        let (p, scheme) = match &self.method {
-            PlanMethod::Pipelined(p) => (p, GridScheme::TwoGrid),
-            PlanMethod::Compressed(p) => (p, GridScheme::Compressed),
-            _ => return None,
+    /// Check the method against a concrete problem (`radius` is the
+    /// stencil operator's). The facade runs this before every solve, and
+    /// every cached plan passes through it before use, so a stale or
+    /// hand-edited cache can never produce an invalid run.
+    pub fn validate(&self, dims: Dims3, radius: usize) -> Result<(), String> {
+        let interior = || {
+            if dims.nx < 3 || dims.ny < 3 || dims.nz < 3 {
+                return Err(format!("grid {dims} has no interior"));
+            }
+            Ok(())
         };
-        Some(PipelineConfig {
-            team_size: p.team_size,
-            n_teams: p.n_teams,
-            updates_per_thread: p.updates_per_thread,
-            block: p.block,
-            sync: p.sync,
-            scheme,
-            layout: None,
-            audit: false,
-        })
-    }
-
-    /// The diamond configuration this plan encodes, if any.
-    pub fn diamond_config(&self) -> Option<DiamondConfig> {
-        match self.method {
-            PlanMethod::Diamond {
-                threads,
-                width,
-                threads_per_tile,
-            } => Some(
-                DiamondConfig::with_width(threads, width).with_threads_per_tile(threads_per_tile),
-            ),
-            _ => None,
-        }
-    }
-
-    /// Re-validate against a concrete problem (`radius` is the stencil
-    /// operator's). Every cached plan passes through this before use so
-    /// a stale or hand-edited cache can never produce an invalid run.
-    pub fn validate_for(&self, dims: Dims3, radius: usize) -> Result<(), String> {
-        match &self.method {
-            PlanMethod::Parallel { threads, .. } | PlanMethod::Wavefront { threads } => {
-                if *threads == 0 {
-                    return Err("plan needs at least one thread".into());
+        match self {
+            Method::Sequential => Ok(()),
+            Method::Blocked { block } => {
+                if block.contains(&0) {
+                    return Err("block edges must be >= 1".into());
                 }
-                if dims.nx < 3 || dims.ny < 3 || dims.nz < 3 {
-                    return Err(format!("grid {dims} has no interior"));
+                interior()
+            }
+            Method::Parallel { threads, .. } => {
+                if *threads == 0 {
+                    return Err("threads must be >= 1".into());
                 }
                 Ok(())
             }
-            PlanMethod::Pipelined(_) | PlanMethod::Compressed(_) => {
-                self.pipeline_config().unwrap().validate(dims)
+            Method::Wavefront { threads } => {
+                if *threads == 0 {
+                    return Err("wavefront needs at least one thread".into());
+                }
+                interior()
             }
-            PlanMethod::Diamond { .. } => self.diamond_config().unwrap().validate(dims, radius),
+            Method::Pipelined(cfg) | Method::PipelinedCompressed(cfg) => cfg.validate(dims),
+            Method::Diamond(cfg) => cfg.validate(dims, radius),
         }
+    }
+}
+
+/// One reified execution plan. The JSON form stores every tunable
+/// parameter; a pipeline's `layout` pins and the `audit` switches are
+/// not stored (placement belongs to the runtime that replays the plan).
+#[derive(Clone, PartialEq, Debug)]
+pub struct Plan {
+    pub method: Method,
+    /// Route through the vectorized row kernels (`true`) or pin the
+    /// scalar path. Bitwise-identical either way; throughput differs.
+    pub simd: bool,
+}
+
+impl Plan {
+    /// Plan for a method on the vectorized row kernels.
+    pub fn new(method: Method) -> Self {
+        Plan { method, simd: true }
     }
 
     /// Serialize to the JSON tree.
     pub fn to_json(&self) -> Json {
         let method = match &self.method {
-            PlanMethod::Parallel {
+            Method::Sequential => Json::obj(vec![("kind", Json::str("sequential"))]),
+            Method::Blocked { block } => Json::obj(vec![
+                ("kind", Json::str("blocked")),
+                ("block", block_json(block)),
+            ]),
+            Method::Parallel {
                 threads,
                 streaming_stores,
             } => Json::obj(vec![
@@ -219,31 +175,24 @@ impl Plan {
                 ("threads", Json::usize(*threads)),
                 ("streaming_stores", Json::Bool(*streaming_stores)),
             ]),
-            PlanMethod::Pipelined(p) => pipe_json("pipelined", p),
-            PlanMethod::Compressed(p) => pipe_json("compressed", p),
-            PlanMethod::Wavefront { threads } => Json::obj(vec![
+            Method::Pipelined(cfg) => pipe_json("pipelined", cfg),
+            Method::PipelinedCompressed(cfg) => pipe_json("compressed", cfg),
+            Method::Wavefront { threads } => Json::obj(vec![
                 ("kind", Json::str("wavefront")),
                 ("threads", Json::usize(*threads)),
             ]),
-            PlanMethod::Diamond {
-                threads,
-                width,
-                threads_per_tile,
-            } => Json::obj(vec![
+            Method::Diamond(cfg) => Json::obj(vec![
                 ("kind", Json::str("diamond")),
-                ("threads", Json::usize(*threads)),
-                ("width", Json::usize(*width)),
-                ("threads_per_tile", Json::usize(*threads_per_tile)),
+                ("threads", Json::usize(cfg.threads)),
+                ("width", Json::usize(cfg.width)),
+                ("threads_per_tile", Json::usize(cfg.threads_per_tile)),
             ]),
         };
-        Json::obj(vec![
-            ("method", method),
-            ("simd", Json::Bool(self.simd)),
-            ("exchange", Json::str(self.exchange.name())),
-        ])
+        Json::obj(vec![("method", method), ("simd", Json::Bool(self.simd))])
     }
 
-    /// Parse a plan back out of the JSON tree.
+    /// Parse a plan back out of the JSON tree. Keys this layout does not
+    /// use (such as the `exchange` mode older caches stored) are ignored.
     pub fn from_json(v: &Json) -> Result<Plan, String> {
         let m = v.get("method").ok_or("plan: missing method")?;
         let kind = m
@@ -256,19 +205,23 @@ impl Plan {
                 .ok_or_else(|| "plan: missing threads".to_string())
         };
         let method = match kind {
-            "parallel" => PlanMethod::Parallel {
+            "sequential" => Method::Sequential,
+            "blocked" => Method::Blocked {
+                block: block_from_json(m)?,
+            },
+            "parallel" => Method::Parallel {
                 threads: threads(m)?,
                 streaming_stores: m
                     .get("streaming_stores")
                     .and_then(Json::as_bool)
                     .unwrap_or(false),
             },
-            "pipelined" => PlanMethod::Pipelined(pipe_from_json(m)?),
-            "compressed" => PlanMethod::Compressed(pipe_from_json(m)?),
-            "wavefront" => PlanMethod::Wavefront {
+            "pipelined" => Method::Pipelined(pipe_from_json(m)?),
+            "compressed" => Method::PipelinedCompressed(pipe_from_json(m)?),
+            "wavefront" => Method::Wavefront {
                 threads: threads(m)?,
             },
-            "diamond" => PlanMethod::Diamond {
+            "diamond" => Method::Diamond(DiamondConfig {
                 threads: threads(m)?,
                 width: m
                     .get("width")
@@ -278,40 +231,35 @@ impl Plan {
                     .get("threads_per_tile")
                     .and_then(Json::as_usize)
                     .unwrap_or(1),
-            },
+                audit: false,
+            }),
             other => return Err(format!("plan: unknown method kind {other:?}")),
-        };
-        let exchange = match v.get("exchange").and_then(Json::as_str) {
-            None => ExchangeIr::Sync,
-            Some(s) => {
-                ExchangeIr::from_name(s).ok_or_else(|| format!("plan: unknown exchange {s:?}"))?
-            }
         };
         Ok(Plan {
             method,
             simd: v.get("simd").and_then(Json::as_bool).unwrap_or(true),
-            exchange,
         })
     }
 
     /// One-line human-readable description for reports and logs.
     pub fn label(&self) -> String {
         let base = match &self.method {
-            PlanMethod::Parallel {
+            Method::Sequential => "sequential".to_string(),
+            Method::Blocked { block } => format!("blocked block={block:?}"),
+            Method::Parallel {
                 threads,
                 streaming_stores,
             } => format!(
                 "parallel threads={threads}{}",
                 if *streaming_stores { " nt" } else { "" }
             ),
-            PlanMethod::Pipelined(p) => pipe_label("pipelined", p),
-            PlanMethod::Compressed(p) => pipe_label("compressed", p),
-            PlanMethod::Wavefront { threads } => format!("wavefront threads={threads}"),
-            PlanMethod::Diamond {
-                threads,
-                width,
-                threads_per_tile,
-            } => format!("diamond threads={threads} w={width} tpt={threads_per_tile}"),
+            Method::Pipelined(cfg) => pipe_label("pipelined", cfg),
+            Method::PipelinedCompressed(cfg) => pipe_label("compressed", cfg),
+            Method::Wavefront { threads } => format!("wavefront threads={threads}"),
+            Method::Diamond(cfg) => format!(
+                "diamond threads={} w={} tpt={}",
+                cfg.threads, cfg.width, cfg.threads_per_tile
+            ),
         };
         if self.simd {
             base
@@ -321,46 +269,22 @@ impl Plan {
     }
 }
 
-fn pipe_label(kind: &str, p: &PipeParams) -> String {
-    let sync = match p.sync {
+fn pipe_label(kind: &str, cfg: &PipelineConfig) -> String {
+    let sync = match cfg.sync {
         SyncMode::Barrier => "barrier".to_string(),
         SyncMode::Relaxed { dl, du, dt } => format!("dl={dl},du={du},dt={dt}"),
     };
     format!(
         "{kind} t={} n={} T={} block={:?} {sync}",
-        p.team_size, p.n_teams, p.updates_per_thread, p.block
+        cfg.team_size, cfg.n_teams, cfg.updates_per_thread, cfg.block
     )
 }
 
-fn pipe_json(kind: &str, p: &PipeParams) -> Json {
-    let sync = match p.sync {
-        SyncMode::Barrier => Json::obj(vec![("mode", Json::str("barrier"))]),
-        SyncMode::Relaxed { dl, du, dt } => Json::obj(vec![
-            ("mode", Json::str("relaxed")),
-            ("dl", Json::num(dl as f64)),
-            ("du", Json::num(du as f64)),
-            ("dt", Json::num(dt as f64)),
-        ]),
-    };
-    Json::obj(vec![
-        ("kind", Json::str(kind)),
-        ("team_size", Json::usize(p.team_size)),
-        ("n_teams", Json::usize(p.n_teams)),
-        ("updates_per_thread", Json::usize(p.updates_per_thread)),
-        (
-            "block",
-            Json::Arr(p.block.iter().map(|&b| Json::usize(b)).collect()),
-        ),
-        ("sync", sync),
-    ])
+fn block_json(block: &[usize; 3]) -> Json {
+    Json::Arr(block.iter().map(|&b| Json::usize(b)).collect())
 }
 
-fn pipe_from_json(m: &Json) -> Result<PipeParams, String> {
-    let field = |k: &str| {
-        m.get(k)
-            .and_then(Json::as_usize)
-            .ok_or_else(|| format!("plan: missing {k}"))
-    };
+fn block_from_json(m: &Json) -> Result<[usize; 3], String> {
     let block_arr = m
         .get("block")
         .and_then(Json::as_arr)
@@ -372,6 +296,36 @@ fn pipe_from_json(m: &Json) -> Result<PipeParams, String> {
     for (slot, v) in block.iter_mut().zip(block_arr) {
         *slot = v.as_usize().ok_or("plan: bad block edge")?;
     }
+    Ok(block)
+}
+
+fn pipe_json(kind: &str, cfg: &PipelineConfig) -> Json {
+    let sync = match cfg.sync {
+        SyncMode::Barrier => Json::obj(vec![("mode", Json::str("barrier"))]),
+        SyncMode::Relaxed { dl, du, dt } => Json::obj(vec![
+            ("mode", Json::str("relaxed")),
+            ("dl", Json::num(dl as f64)),
+            ("du", Json::num(du as f64)),
+            ("dt", Json::num(dt as f64)),
+        ]),
+    };
+    Json::obj(vec![
+        ("kind", Json::str(kind)),
+        ("team_size", Json::usize(cfg.team_size)),
+        ("n_teams", Json::usize(cfg.n_teams)),
+        ("updates_per_thread", Json::usize(cfg.updates_per_thread)),
+        ("block", block_json(&cfg.block)),
+        ("sync", sync),
+    ])
+}
+
+fn pipe_from_json(m: &Json) -> Result<PipelineConfig, String> {
+    let field = |k: &str| {
+        m.get(k)
+            .and_then(Json::as_usize)
+            .ok_or_else(|| format!("plan: missing {k}"))
+    };
+    let block = block_from_json(m)?;
     let sync = match m.get("sync") {
         None => SyncMode::relaxed_default(),
         Some(s) => match s.get("mode").and_then(Json::as_str) {
@@ -384,12 +338,14 @@ fn pipe_from_json(m: &Json) -> Result<PipeParams, String> {
             other => return Err(format!("plan: unknown sync mode {other:?}")),
         },
     };
-    Ok(PipeParams {
+    Ok(PipelineConfig {
         team_size: field("team_size")?,
         n_teams: field("n_teams")?,
         updates_per_thread: field("updates_per_thread")?,
         block,
         sync,
+        layout: None,
+        audit: false,
     })
 }
 
@@ -397,48 +353,55 @@ fn pipe_from_json(m: &Json) -> Result<PipeParams, String> {
 mod tests {
     use super::*;
 
-    pub(crate) fn sample_plans() -> Vec<Plan> {
-        let pipe = PipeParams {
+    fn pipe(sync: SyncMode) -> PipelineConfig {
+        PipelineConfig {
             team_size: 4,
             n_teams: 2,
             updates_per_thread: 2,
             block: [120, 20, 20],
-            sync: SyncMode::Relaxed {
-                dl: 1,
-                du: 4,
-                dt: 8,
-            },
-        };
-        let barrier = PipeParams {
-            sync: SyncMode::Barrier,
-            ..pipe.clone()
+            sync,
+            ..PipelineConfig::small()
+        }
+    }
+
+    pub(crate) fn sample_plans() -> Vec<Plan> {
+        let relaxed = SyncMode::Relaxed {
+            dl: 1,
+            du: 4,
+            dt: 8,
         };
         let mut plans = vec![
-            Plan::new(PlanMethod::Parallel {
+            Plan::new(Method::Parallel {
                 threads: 8,
                 streaming_stores: true,
             }),
-            Plan::new(PlanMethod::Pipelined(pipe.clone())),
-            Plan::new(PlanMethod::Pipelined(barrier)),
-            Plan::new(PlanMethod::Compressed(pipe)),
-            Plan::new(PlanMethod::Wavefront { threads: 4 }),
-            Plan::new(PlanMethod::Diamond {
-                threads: 4,
-                width: 16,
-                threads_per_tile: 2,
-            }),
+            Plan::new(Method::Pipelined(pipe(relaxed))),
+            Plan::new(Method::Pipelined(pipe(SyncMode::Barrier))),
+            Plan::new(Method::PipelinedCompressed(pipe(relaxed))),
+            Plan::new(Method::Wavefront { threads: 4 }),
+            Plan::new(Method::Diamond(
+                DiamondConfig::with_width(4, 16).with_threads_per_tile(2),
+            )),
         ];
         plans.push(Plan {
             simd: false,
-            exchange: ExchangeIr::OverlappedCommThread,
             ..plans[5].clone()
         });
+        plans.push(Plan::new(Method::Sequential));
+        plans.push(Plan::new(Method::Blocked { block: [7, 5, 3] }));
         plans
     }
 
     #[test]
     fn json_roundtrip_every_variant() {
-        for plan in sample_plans() {
+        let plans = sample_plans();
+        // Every `Method` variant is covered.
+        let variants: std::collections::HashSet<_> = plans
+            .iter()
+            .map(|p| std::mem::discriminant(&p.method))
+            .collect();
+        assert_eq!(variants.len(), 7);
+        for plan in plans {
             let text = plan.to_json().to_json();
             let back = Plan::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, plan, "{text}");
@@ -448,36 +411,56 @@ mod tests {
     #[test]
     fn configs_reconstruct() {
         let plans = sample_plans();
-        let cfg = plans[1].pipeline_config().unwrap();
-        assert_eq!(cfg.scheme, GridScheme::TwoGrid);
+        let Method::Pipelined(cfg) = &plans[1].method else {
+            panic!("two-grid pipeline expected: {:?}", plans[1].method);
+        };
         assert_eq!(cfg.stages(), 16);
-        let cfg = plans[3].pipeline_config().unwrap();
-        assert_eq!(cfg.scheme, GridScheme::Compressed);
-        let dia = plans[5].diamond_config().unwrap();
+        assert!(matches!(
+            plans[3].method,
+            Method::PipelinedCompressed(ref c) if c.stages() == 16
+        ));
+        let Method::Diamond(dia) = &plans[5].method else {
+            panic!("diamond expected: {:?}", plans[5].method);
+        };
         assert_eq!((dia.threads, dia.width, dia.threads_per_tile), (4, 16, 2));
-        assert!(plans[0].pipeline_config().is_none());
-        assert!(plans[0].diamond_config().is_none());
+        assert!(matches!(plans[0].method, Method::Parallel { .. }));
+        // Parsed configs carry no pins and no auditor.
+        let text = plans[1].to_json().to_json();
+        let back = Plan::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let Method::Pipelined(cfg) = back.method else {
+            panic!("pipelined kind must parse back to a two-grid pipeline");
+        };
+        assert!(cfg.layout.is_none() && !cfg.audit);
     }
 
     #[test]
     fn validate_rejects_bad_geometry() {
         let plans = sample_plans();
         // 16-stage pipeline cannot fit a 10^3 grid.
-        assert!(plans[1].validate_for(Dims3::cube(10), 1).is_err());
-        assert!(plans[1].validate_for(Dims3::cube(64), 1).is_ok());
+        assert!(plans[1].method.validate(Dims3::cube(10), 1).is_err());
+        assert!(plans[1].method.validate(Dims3::cube(64), 1).is_ok());
         // Diamond width below 2R is rejected by the diamond validator.
-        let p = Plan::new(PlanMethod::Diamond {
-            threads: 2,
-            width: 2,
-            threads_per_tile: 1,
-        });
-        assert!(p.validate_for(Dims3::cube(20), 2).is_err());
-        assert!(p.validate_for(Dims3::cube(20), 1).is_ok());
-        let z = Plan::new(PlanMethod::Parallel {
+        let m = Method::Diamond(DiamondConfig::with_width(2, 2));
+        assert!(m.validate(Dims3::cube(20), 2).is_err());
+        assert!(m.validate(Dims3::cube(20), 1).is_ok());
+        let z = Method::Parallel {
             threads: 0,
             streaming_stores: false,
-        });
-        assert!(z.validate_for(Dims3::cube(20), 1).is_err());
+        };
+        assert_eq!(
+            z.validate(Dims3::cube(20), 1).unwrap_err(),
+            "threads must be >= 1"
+        );
+        let w = Method::Wavefront { threads: 2 };
+        assert!(w.validate(Dims3::new(2, 10, 10), 1).is_err());
+        assert!(w.validate(Dims3::cube(10), 1).is_ok());
+        // The sequential oracle runs anywhere; blocked needs real blocks.
+        assert!(Method::Sequential.validate(Dims3::cube(2), 1).is_ok());
+        let b = Method::Blocked { block: [4, 0, 4] };
+        assert!(b.validate(Dims3::cube(20), 1).is_err());
+        let b = Method::Blocked { block: [4, 4, 4] };
+        assert!(b.validate(Dims3::cube(20), 1).is_ok());
+        assert!(b.validate(Dims3::new(20, 2, 20), 1).is_err());
     }
 
     #[test]
@@ -486,8 +469,15 @@ mod tests {
         assert_eq!(plans[0].method.family().name(), "parallel");
         assert_eq!(plans[0].method.threads(), 8);
         assert_eq!(plans[1].method.threads(), 8); // 4 x 2 teams
+        assert_eq!(plans[3].method.family(), MethodFamily::Compressed);
         assert_eq!(plans[5].method.family(), MethodFamily::Diamond);
+        assert_eq!(plans[5].method.threads(), 4);
+        for seq in &plans[7..] {
+            assert_eq!(seq.method.family(), MethodFamily::Sequential);
+            assert_eq!(seq.method.threads(), 0);
+        }
         assert_eq!(MethodFamily::ALL.len(), 5);
+        assert!(!MethodFamily::ALL.contains(&MethodFamily::Sequential));
     }
 
     #[test]
@@ -495,5 +485,7 @@ mod tests {
         let plans = sample_plans();
         assert!(plans[1].label().contains("T=2"));
         assert!(plans[6].label().contains("simd=off"));
+        assert_eq!(plans[7].label(), "sequential");
+        assert!(plans[8].label().contains("[7, 5, 3]"));
     }
 }

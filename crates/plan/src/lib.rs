@@ -5,11 +5,12 @@
 //! same choice mechanically by treating the *execution strategy* as
 //! data. This crate supplies that layer:
 //!
-//! * [`ir`] — the strategy IR: a serializable [`Plan`] capturing the
-//!   method (baseline / pipelined / compressed / wavefront / diamond)
-//!   and every parameter the facade needs to replay it (`t`, `n`, `T`,
-//!   block edges, `d_u` sync mode, diamond width, MWD sub-team, SIMD
-//!   path, exchange mode);
+//! * [`ir`] — the strategy IR: [`Method`], the one strategy type (one
+//!   arm per executor: sequential / blocked / parallel / pipelined /
+//!   compressed / wavefront / diamond, each carrying every parameter it
+//!   runs with — `t`, `n`, `T`, block edges, `d_u` sync mode, diamond
+//!   width, MWD sub-team), and the serializable [`Plan`] = method + SIMD
+//!   path that the facade replays as is;
 //! * [`key`] — cache identity: [`MachineFingerprint`] (exact topology
 //!   signature + calibrated bandwidths quantized into ±12.5% bands)
 //!   plus [`PlanKey`] (operator, dims, sweep class, element type);
@@ -34,7 +35,7 @@ pub mod key;
 pub mod tuner;
 
 pub use cache::{CacheEntry, PlanCache, SharedPlanCache, SCHEMA_VERSION};
-pub use ir::{ExchangeIr, MethodFamily, PipeParams, Plan, PlanMethod};
+pub use ir::{Method, MethodFamily, Plan};
 pub use json::Json;
 pub use key::{bandwidth_band, element_name, sweeps_class, MachineFingerprint, PlanKey};
 pub use tuner::{

@@ -15,9 +15,9 @@ use tb_model::{
     pipeline_speedup, wavefront_speedup, MachineParams,
 };
 use tb_stencil::kernel::StoreMode;
-use tb_stencil::{StencilOp, SyncMode};
+use tb_stencil::{DiamondConfig, PipelineConfig, StencilOp, SyncMode};
 
-use crate::ir::{MethodFamily, PipeParams, Plan, PlanMethod};
+use crate::ir::{Method, MethodFamily, Plan};
 
 /// Tuner knobs.
 #[derive(Clone, Copy, Debug)]
@@ -117,26 +117,22 @@ impl TuneReport {
 /// compute threads — what a caller who never tunes would run.
 pub fn default_plan(family: MethodFamily, team: usize) -> Plan {
     let team = team.max(1);
-    let pipe = PipeParams {
+    // One team of `team` threads, `T = 1`, relaxed sync, no pins.
+    let pipe = PipelineConfig {
         team_size: team,
-        n_teams: 1,
-        updates_per_thread: 1,
         block: [32.max(team), 8.max(team), 8.max(team)],
-        sync: SyncMode::relaxed_default(),
+        ..PipelineConfig::small()
     };
     Plan::new(match family {
-        MethodFamily::Parallel => PlanMethod::Parallel {
+        MethodFamily::Sequential => Method::Sequential,
+        MethodFamily::Parallel => Method::Parallel {
             threads: team,
             streaming_stores: false,
         },
-        MethodFamily::Pipelined => PlanMethod::Pipelined(pipe),
-        MethodFamily::Compressed => PlanMethod::Compressed(pipe),
-        MethodFamily::Wavefront => PlanMethod::Wavefront { threads: team },
-        MethodFamily::Diamond => PlanMethod::Diamond {
-            threads: team,
-            width: 8,
-            threads_per_tile: 1,
-        },
+        MethodFamily::Pipelined => Method::Pipelined(pipe),
+        MethodFamily::Compressed => Method::PipelinedCompressed(pipe),
+        MethodFamily::Wavefront => Method::Wavefront { threads: team },
+        MethodFamily::Diamond => Method::Diamond(DiamondConfig::with_width(team, 8)),
     })
 }
 
@@ -153,6 +149,7 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
     let radius = Op::RADIUS;
     let mut plans = Vec::new();
     match family {
+        MethodFamily::Sequential => {} // the oracle has nothing to tune
         MethodFamily::Parallel => {
             let mut threads: Vec<usize> = vec![1, team / 2, team];
             threads.retain(|&t| t >= 1);
@@ -160,7 +157,7 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
             threads.dedup();
             for t in threads {
                 for streaming in [false, true] {
-                    plans.push(Plan::new(PlanMethod::Parallel {
+                    plans.push(Plan::new(Method::Parallel {
                         threads: t,
                         streaming_stores: streaming,
                     }));
@@ -171,17 +168,17 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
             for updates in [1usize, 2, 4] {
                 for block in [[dims.nx, 16, 16], [120, 20, 20], [64, 16, 16], [32, 8, 8]] {
                     for du in [1u64, 4] {
-                        let p = PipeParams {
+                        let p = PipelineConfig {
                             team_size: team,
-                            n_teams: 1,
                             updates_per_thread: updates,
                             block,
                             sync: SyncMode::Relaxed { dl: 1, du, dt: 0 },
+                            ..PipelineConfig::small()
                         };
                         let method = if family == MethodFamily::Pipelined {
-                            PlanMethod::Pipelined(p)
+                            Method::Pipelined(p)
                         } else {
-                            PlanMethod::Compressed(p)
+                            Method::PipelinedCompressed(p)
                         };
                         plans.push(Plan::new(method));
                     }
@@ -193,7 +190,7 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
             threads.sort_unstable();
             threads.dedup();
             for t in threads {
-                plans.push(Plan::new(PlanMethod::Wavefront { threads: t }));
+                plans.push(Plan::new(Method::Wavefront { threads: t }));
             }
         }
         MethodFamily::Diamond => {
@@ -210,16 +207,14 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
                 widths.sort_unstable();
                 widths.dedup();
                 for width in widths {
-                    plans.push(Plan::new(PlanMethod::Diamond {
-                        threads: team,
-                        width,
-                        threads_per_tile: tpt,
-                    }));
+                    plans.push(Plan::new(Method::Diamond(
+                        DiamondConfig::with_width(team, width).with_threads_per_tile(tpt),
+                    )));
                 }
             }
         }
     }
-    plans.retain(|p| p.validate_for(dims, radius).is_ok());
+    plans.retain(|p| p.method.validate(dims, radius).is_ok());
     plans
 }
 
@@ -251,8 +246,16 @@ pub fn predicted_mlups<T: Real, Op: StencilOp<T>>(
 ) -> f64 {
     let radius = Op::RADIUS;
     let p0_stream = op_roofline_lups(params, op, StoreMode::Streaming);
+    // One thread runs at its Ms,1 share of the socket roofline; more
+    // threads scale linearly until the bus saturates.
+    let standard = |threads: usize, store: StoreMode| {
+        let p0 = op_roofline_lups(params, op, store);
+        let single = p0 * params.ms1 / params.ms;
+        (single * threads as f64).min(p0)
+    };
     let lups = match &plan.method {
-        PlanMethod::Parallel {
+        Method::Sequential | Method::Blocked { .. } => standard(1, StoreMode::Normal),
+        Method::Parallel {
             threads,
             streaming_stores,
         } => {
@@ -261,23 +264,19 @@ pub fn predicted_mlups<T: Real, Op: StencilOp<T>>(
             } else {
                 StoreMode::Normal
             };
-            let p0 = op_roofline_lups(params, op, store);
-            // One thread runs at its Ms,1 share of the socket roofline;
-            // more threads scale linearly until the bus saturates.
-            let single = p0 * params.ms1 / params.ms;
-            (single * *threads as f64).min(p0)
+            standard(*threads, store)
         }
-        PlanMethod::Pipelined(p) | PlanMethod::Compressed(p) => {
+        Method::Pipelined(p) | Method::PipelinedCompressed(p) => {
             let speedup = pipeline_speedup(params, p.team_size, p.updates_per_thread);
             // §1.4's standing assumption: the shared cache holds the
             // (t·T)·d_u blocks in flight. The compressed scheme keeps a
             // single grid, halving the resident buffer count.
-            let grids = if matches!(plan.method, PlanMethod::Compressed(_)) {
+            let grids = if matches!(plan.method, Method::PipelinedCompressed(_)) {
                 1.0
             } else {
                 2.0
             };
-            let streams = grids + op.extra_read_streams();
+            let streams = grids + Op::EXTRA_READ_STREAMS;
             let block_cells =
                 p.block[0].min(dims.nx) * p.block[1].min(dims.ny) * p.block[2].min(dims.nz);
             let block_bytes = streams * (block_cells * T::bytes()) as f64;
@@ -289,7 +288,7 @@ pub fn predicted_mlups<T: Real, Op: StencilOp<T>>(
             let fits = resident <= params.cache_bytes as f64;
             p0_stream * if fits { speedup } else { 1.0 }
         }
-        PlanMethod::Wavefront { threads } => {
+        Method::Wavefront { threads } => {
             // The wavefront keeps ~2R planes live per stacked sweep; its
             // working set is that of a diamond of width 2R·t.
             let proxy_width = (2 * radius * threads.max(&1)).max(2 * radius);
@@ -302,23 +301,19 @@ pub fn predicted_mlups<T: Real, Op: StencilOp<T>>(
                     1.0
                 }
         }
-        PlanMethod::Diamond {
-            threads,
-            width,
-            threads_per_tile,
-        } => {
+        Method::Diamond(cfg) => {
             let w_max = max_cached_width_mwd::<T, Op>(
                 params,
                 op,
                 dims.nx,
                 dims.ny,
-                *threads,
-                *threads_per_tile,
+                cfg.threads,
+                cfg.threads_per_tile,
             );
-            let fits = *width <= w_max;
+            let fits = cfg.width <= w_max;
             p0_stream
                 * if fits {
-                    diamond_speedup(params, *width, radius)
+                    diamond_speedup(params, cfg.width, radius)
                 } else {
                     1.0
                 }
@@ -342,7 +337,7 @@ pub fn tune<T: Real, Op: StencilOp<T>>(
     cfg: &TuneConfig,
     mut measure: impl FnMut(&Plan) -> Result<f64, String>,
 ) -> TuneReport {
-    if !candidates.contains(&incumbent) && incumbent.validate_for(dims, Op::RADIUS).is_ok() {
+    if !candidates.contains(&incumbent) && incumbent.method.validate(dims, Op::RADIUS).is_ok() {
         candidates.push(incumbent.clone());
     }
     let enumerated = candidates.len();
@@ -422,7 +417,7 @@ mod tests {
             assert!(!plans.is_empty(), "{family:?}");
             for plan in &plans {
                 assert_eq!(plan.method.family(), family);
-                plan.validate_for(dims, 1).unwrap();
+                plan.method.validate(dims, 1).unwrap();
                 assert!(plan.method.threads() <= 4);
             }
         }
@@ -437,7 +432,7 @@ mod tests {
         let plans =
             enumerate_family::<f64, _>(MethodFamily::Pipelined, &p, &Jacobi6, Dims3::cube(12), 4);
         for plan in &plans {
-            plan.validate_for(Dims3::cube(12), 1).unwrap();
+            plan.method.validate(Dims3::cube(12), 1).unwrap();
         }
     }
 
@@ -446,25 +441,15 @@ mod tests {
         let p = nehalem();
         let dims = Dims3::cube(64);
         // A diamond too wide for the cache scores at baseline...
-        let narrow = Plan::new(PlanMethod::Diamond {
-            threads: 4,
-            width: 8,
-            threads_per_tile: 1,
-        });
-        let huge = Plan::new(PlanMethod::Diamond {
-            threads: 4,
-            width: 1 << 14,
-            threads_per_tile: 1,
-        });
+        let narrow = Plan::new(Method::Diamond(DiamondConfig::with_width(4, 8)));
+        let huge = Plan::new(Method::Diamond(DiamondConfig::with_width(4, 1 << 14)));
         let s_narrow = predicted_mlups::<f64, _>(&p, &Jacobi6, dims, &narrow);
         let s_huge = predicted_mlups::<f64, _>(&p, &Jacobi6, dims, &huge);
         assert!(s_narrow > s_huge, "{s_narrow} vs {s_huge}");
         // ...and MWD widens the cacheable range at equal width.
-        let mwd = Plan::new(PlanMethod::Diamond {
-            threads: 4,
-            width: 8,
-            threads_per_tile: 4,
-        });
+        let mwd = Plan::new(Method::Diamond(
+            DiamondConfig::with_width(4, 8).with_threads_per_tile(4),
+        ));
         assert!(predicted_mlups::<f64, _>(&p, &Jacobi6, dims, &mwd) >= s_narrow);
         // Extra read streams lower every score.
         let v: VarCoeff7<f64> = VarCoeff7::banded(dims);
@@ -480,7 +465,7 @@ mod tests {
                 &p,
                 &Jacobi6,
                 dims,
-                &Plan::new(PlanMethod::Parallel {
+                &Plan::new(Method::Parallel {
                     threads,
                     streaming_stores: true,
                 }),
@@ -561,7 +546,7 @@ mod tests {
         let dims = Dims3::cube(64);
         for family in MethodFamily::ALL {
             for team in [1usize, 2, 4, 8] {
-                default_plan(family, team).validate_for(dims, 1).unwrap();
+                default_plan(family, team).method.validate(dims, 1).unwrap();
             }
         }
     }

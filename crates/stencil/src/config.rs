@@ -4,22 +4,14 @@ use tb_grid::Dims3;
 use tb_sync::SyncMode;
 use tb_topology::{Machine, TeamLayout};
 
-/// Grid storage strategy for the pipeline.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum GridScheme {
-    /// Two grids A/B written in turn (Fig. 1 of the paper).
-    #[default]
-    TwoGrid,
-    /// Single "compressed" grid with alternating ±(1,1,1) shifts (§1.3).
-    Compressed,
-}
-
 /// Full parameter set of a pipelined run. The paper's notation:
 /// `t` = [`PipelineConfig::team_size`], `n` = [`PipelineConfig::n_teams`],
 /// `T` = [`PipelineConfig::updates_per_thread`], `d_l`/`d_u`/`d_t` live
 /// inside [`PipelineConfig::sync`], block size `b_x×b_y×b_z` in
-/// [`PipelineConfig::block`].
-#[derive(Clone, Debug)]
+/// [`PipelineConfig::block`]. The storage scheme (two grids or one
+/// compressed grid, §1.3) is the executor's, not the config's: the same
+/// config drives `pipeline::run_op_on` and `pipeline::run_compressed_op_on`.
+#[derive(Clone, Debug, PartialEq)]
 pub struct PipelineConfig {
     /// Threads per team (`t`); a team shares one cache group.
     pub team_size: usize,
@@ -31,8 +23,6 @@ pub struct PipelineConfig {
     pub block: [usize; 3],
     /// Barrier or relaxed synchronization.
     pub sync: SyncMode,
-    /// Storage scheme.
-    pub scheme: GridScheme,
     /// Optional CPU pinning layout; `None` leaves threads unpinned.
     pub layout: Option<TeamLayout>,
     /// Run the debug region auditor (serializes claims; test/debug only).
@@ -48,7 +38,6 @@ impl PipelineConfig {
             updates_per_thread: 1,
             block: [32, 8, 8],
             sync: SyncMode::relaxed_default(),
-            scheme: GridScheme::TwoGrid,
             layout: None,
             audit: false,
         }
@@ -67,7 +56,6 @@ impl PipelineConfig {
             updates_per_thread,
             block: [120, 20, 20], // paper §1.5 optimum on 600^3
             sync: SyncMode::relaxed_default(),
-            scheme: GridScheme::TwoGrid,
             layout: Some(TeamLayout::new(machine, team_size, n_teams)),
             audit: false,
         }

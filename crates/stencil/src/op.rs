@@ -148,17 +148,16 @@ pub trait StencilOp<T: Real>: Clone + Send + Sync + 'static {
     /// through a scratch buffer instead.
     const READS_CORNERS: bool = true;
 
+    /// Memory read streams beyond the source grid (e.g. a coefficient
+    /// grid), in grid words per update. A constant of the type, so code
+    /// balance is known without constructing the operator.
+    const EXTRA_READ_STREAMS: f64 = 0.0;
+
     /// Short identifier for reports and benchmark output.
     fn name(&self) -> &'static str;
 
     /// Floating-point operations per lattice-site update.
     fn flops_per_lup(&self) -> f64;
-
-    /// Memory read streams beyond the source grid (e.g. a coefficient
-    /// grid), in grid words per update.
-    fn extra_read_streams(&self) -> f64 {
-        0.0
-    }
 
     /// Code balance in bytes per lattice-site update (paper §1.1): source
     /// read + write (+ read-for-ownership unless streaming stores), plus
@@ -169,7 +168,7 @@ pub trait StencilOp<T: Real>: Clone + Send + Sync + 'static {
             StoreMode::Normal => 3.0,    // read + RFO + write
             StoreMode::Streaming => 2.0, // read + write
         };
-        (grid_streams + self.extra_read_streams()) * T::bytes() as f64
+        (grid_streams + Self::EXTRA_READ_STREAMS) * T::bytes() as f64
     }
 
     /// Update cells `x0 .. x0 + dst.len()` of row `(y, z)`: `dst[i]`
@@ -268,6 +267,7 @@ pub struct ScalarPath<Op>(pub Op);
 impl<T: Real, Op: StencilOp<T>> StencilOp<T> for ScalarPath<Op> {
     const RADIUS: usize = Op::RADIUS;
     const READS_CORNERS: bool = Op::READS_CORNERS;
+    const EXTRA_READ_STREAMS: f64 = Op::EXTRA_READ_STREAMS;
 
     fn name(&self) -> &'static str {
         self.0.name()
@@ -275,10 +275,6 @@ impl<T: Real, Op: StencilOp<T>> StencilOp<T> for ScalarPath<Op> {
 
     fn flops_per_lup(&self) -> f64 {
         self.0.flops_per_lup()
-    }
-
-    fn extra_read_streams(&self) -> f64 {
-        self.0.extra_read_streams()
     }
 
     fn bytes_per_lup(&self, store: StoreMode) -> f64 {
@@ -542,6 +538,7 @@ impl<T: Real> VarCoeff7<T> {
 
 impl<T: Real> StencilOp<T> for VarCoeff7<T> {
     const READS_CORNERS: bool = false;
+    const EXTRA_READ_STREAMS: f64 = 1.0; // the coefficient grid
 
     fn name(&self) -> &'static str {
         "varcoeff7"
@@ -549,10 +546,6 @@ impl<T: Real> StencilOp<T> for VarCoeff7<T> {
 
     fn flops_per_lup(&self) -> f64 {
         9.0 // 5 adds + (6u: 1 mul) + 1 sub + 1 mul + 1 add
-    }
-
-    fn extra_read_streams(&self) -> f64 {
-        1.0 // the coefficient grid
     }
 
     #[inline]
@@ -882,7 +875,10 @@ mod tests {
         let dims = Dims3::cube(8);
         let op = ScalarPath(VarCoeff7::<f64>::banded(dims));
         assert_eq!(op.name(), "varcoeff7");
-        assert_eq!(op.extra_read_streams(), 1.0);
+        assert_eq!(
+            <ScalarPath<VarCoeff7<f64>> as StencilOp<f64>>::EXTRA_READ_STREAMS,
+            1.0
+        );
         assert_eq!(
             op.bytes_per_lup(StoreMode::Normal),
             VarCoeff7::<f64>::banded(dims).bytes_per_lup(StoreMode::Normal)

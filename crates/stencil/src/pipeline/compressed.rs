@@ -190,7 +190,6 @@ fn update_block<T: Real, Op: StencilOp<T>>(
 mod tests {
     use super::*;
     use crate::baseline;
-    use crate::config::GridScheme;
     use crate::op::Jacobi6;
     use crate::test_runtime;
     use tb_grid::{init, norm, Dims3, GridPair};
@@ -215,7 +214,6 @@ mod tests {
             updates_per_thread: upt,
             block,
             sync,
-            scheme: GridScheme::Compressed,
             layout: None,
             audit: true,
         }

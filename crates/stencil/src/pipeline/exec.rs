@@ -326,7 +326,6 @@ mod tests {
             updates_per_thread: upt,
             block,
             sync,
-            scheme: crate::config::GridScheme::TwoGrid,
             layout: None,
             audit: true,
         }

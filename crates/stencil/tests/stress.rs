@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use tb_grid::{init, norm, Dims3, Grid3, GridPair, Region3};
 use tb_runtime::Runtime;
-use tb_stencil::config::{GridScheme, PipelineConfig};
+use tb_stencil::config::PipelineConfig;
 use tb_stencil::{baseline, pipeline, Jacobi6, SyncMode};
 
 /// One runtime for the whole suite, sized for the widest pipeline here.
@@ -38,7 +38,6 @@ fn blocks_exactly_equal_to_depth() {
         updates_per_thread: 1,
         block: [3, 3, 3],
         sync: SyncMode::relaxed_default(),
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: true,
     };
@@ -61,7 +60,6 @@ fn repeated_runs_are_deterministic() {
             du: 2,
             dt: 1,
         },
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: true,
     };
@@ -81,7 +79,6 @@ fn tall_thin_grid() {
         updates_per_thread: 1,
         block: [6, 6, 10],
         sync: SyncMode::relaxed_default(),
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: true,
     };
@@ -99,7 +96,6 @@ fn pancake_grid() {
         updates_per_thread: 2,
         block: [20, 6, 6],
         sync: SyncMode::relaxed_default(),
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: true,
     };
@@ -118,7 +114,6 @@ fn single_sweep_only_front_thread_works() {
         updates_per_thread: 1,
         block: [6, 6, 6],
         sync: SyncMode::relaxed_default(),
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: true,
     };
@@ -136,7 +131,6 @@ fn compressed_stress_many_team_sweeps() {
         updates_per_thread: 1,
         block: [8, 8, 8],
         sync: SyncMode::relaxed_default(),
-        scheme: GridScheme::Compressed,
         layout: None,
         audit: true,
     };
@@ -157,7 +151,6 @@ fn barrier_and_relaxed_agree_with_each_other() {
         updates_per_thread: 1,
         block: [9, 9, 9],
         sync,
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: true,
     };
@@ -177,7 +170,6 @@ fn oversubscribed_pipeline_completes() {
         updates_per_thread: 1,
         block: [12, 12, 12],
         sync: SyncMode::relaxed_default(),
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: false, // 12 threads through the auditor is too slow
     };

@@ -46,7 +46,6 @@ fn main() {
             updates_per_thread: 2,
             block: [16, 8, 8],
             sync: SyncMode::relaxed_default(),
-            scheme: temporal_blocking::stencil::config::GridScheme::TwoGrid,
             layout: None,
             audit: false,
         };

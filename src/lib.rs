@@ -84,6 +84,7 @@ pub use tb_stencil as stencil;
 pub use tb_sync as sync;
 pub use tb_topology as topology;
 
+pub use tb_plan::Method;
 pub use tb_runtime::{Placement, Runtime};
 pub use tb_stencil::{
     Avg27, DiamondConfig, Jacobi6, Jacobi7, PipelineConfig, RunStats, ScalarPath, StencilOp,
@@ -92,7 +93,6 @@ pub use tb_stencil::{
 
 use tb_grid::{CompressedGrid, Dims3, Grid3, GridPair, Real};
 use tb_runtime::GridPool;
-use tb_stencil::config::GridScheme;
 use tb_stencil::kernel::StoreMode;
 use tb_stencil::{baseline, diamond, pipeline, wavefront};
 
@@ -119,30 +119,6 @@ pub mod prelude {
     pub use tb_topology::{Machine, TeamLayout};
 }
 
-/// Solver selection for [`solve`] / [`solve_with`].
-#[derive(Clone, Debug)]
-pub enum Method {
-    /// Plain sequential sweeps (the verification oracle).
-    Sequential,
-    /// Sequential sweeps with spatial blocking.
-    Blocked { block: [usize; 3] },
-    /// Thread-parallel standard sweeps (the paper's baseline).
-    Parallel {
-        threads: usize,
-        streaming_stores: bool,
-    },
-    /// Pipelined temporal blocking (the paper's contribution, §1.3).
-    Pipelined(PipelineConfig),
-    /// Pipelined temporal blocking on a compressed grid (§1.3).
-    PipelinedCompressed(PipelineConfig),
-    /// Wavefront temporal blocking (the paper's ref. 2, comparator).
-    Wavefront { threads: usize },
-    /// Wavefront-diamond temporal blocking (Malas, Hager et al. 2015):
-    /// diamond tiles along z × time, no wind-up/wind-down waste, one
-    /// width knob instead of block sizes and sync distances.
-    Diamond(DiamondConfig),
-}
-
 /// [`solve_with`] on a persistent [`Runtime`]: parallel methods run on
 /// its (pinned) workers — which must number at least the method's
 /// thread count — and every method, `Sequential` and `Blocked`
@@ -156,6 +132,9 @@ pub enum Method {
 /// the other one returns to the pool. The B buffer receives only the
 /// one-cell boundary shell of `initial` (see [`GridPair::from_parts`]):
 /// no full-grid copy is made around the solve.
+///
+/// The method is checked first ([`Method::validate`] against the grid
+/// and `Op::RADIUS`), so an invalid method never touches the pool.
 pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,
@@ -183,6 +162,7 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
         pool.release(spare);
         result
     }
+    method.validate(initial.dims(), Op::RADIUS)?;
     let pool = rt.grid_pool::<T>();
     match method {
         Method::Sequential => {
@@ -199,9 +179,7 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
             threads,
             streaming_stores,
         } => {
-            if threads == 0 {
-                return Err("threads must be >= 1".into());
-            }
+            // The one executor that does not check the runtime's size.
             if threads > rt.threads() {
                 return Err(format!(
                     "runtime has {} workers but the method needs {threads}",
@@ -217,16 +195,12 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
             let stats = baseline::par_sweeps_op_on(rt, op, &mut pair, sweeps, threads, store);
             Ok((split_result(&pool, pair, sweeps), stats))
         }
-        Method::Pipelined(mut cfg) => {
-            cfg.scheme = GridScheme::TwoGrid;
-            cfg.validate(initial.dims())?;
+        Method::Pipelined(cfg) => {
             let mut pair = pooled_pair(rt, initial);
             let stats = pipeline::run_op_on(rt, op, &mut pair, &cfg, sweeps)?;
             Ok((split_result(&pool, pair, sweeps), stats))
         }
-        Method::PipelinedCompressed(mut cfg) => {
-            cfg.scheme = GridScheme::Compressed;
-            cfg.validate(initial.dims())?;
+        Method::PipelinedCompressed(cfg) => {
             let margin = cfg.stages();
             let storage =
                 rt.acquire_grid(CompressedGrid::<T>::alloc_dims_for(initial.dims(), margin));
@@ -253,11 +227,12 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
 /// chosen method. Returns the final grid and the run statistics.
 ///
 /// A one-shot convenience over [`solve_with_on`]: each call builds a
-/// runtime sized for the method (no workers for `Sequential` and
-/// `Blocked`; a `Pipelined` config's `layout` pins its workers), solves
-/// on it and drops it. The returned [`RunStats`] time the solve only,
-/// not the team spawn and join. Build a [`Runtime`] once and call
-/// [`solve_with_on`] when solving repeatedly.
+/// runtime of [`Method::threads`] workers (none for `Sequential` and
+/// `Blocked`; both pipelined methods use
+/// [`PipelineConfig::one_shot_runtime`], so a config's `layout` pins
+/// its workers), solves on it and drops it. The returned [`RunStats`]
+/// time the solve only, not the team spawn and join. Build a
+/// [`Runtime`] once and call [`solve_with_on`] when solving repeatedly.
 ///
 /// For a fixed operator, all methods produce bitwise identical results
 /// (see crate docs).
@@ -268,12 +243,8 @@ pub fn solve_with<T: Real, Op: StencilOp<T>>(
     method: Method,
 ) -> Result<(Grid3<T>, RunStats), String> {
     let rt = match &method {
-        Method::Sequential | Method::Blocked { .. } => Runtime::with_threads(0),
-        Method::Parallel { threads, .. } | Method::Wavefront { threads } => {
-            Runtime::with_threads(*threads)
-        }
         Method::Pipelined(cfg) | Method::PipelinedCompressed(cfg) => cfg.one_shot_runtime(),
-        Method::Diamond(cfg) => Runtime::with_threads(cfg.threads),
+        _ => Runtime::with_threads(method.threads()),
     };
     solve_with_on(&rt, op, initial, sweeps, method)
 }
@@ -332,26 +303,6 @@ pub fn tuning_runtime(
     Runtime::from_cpus(cpus, layout.comm_core.map(Some))
 }
 
-/// Translate a [`tb_plan::Plan`]'s method into the facade [`Method`].
-/// The SIMD flag is *not* encoded here — [`run_plan_on`] applies it by
-/// wrapping the operator in [`ScalarPath`].
-pub fn method_for_plan(plan: &tb_plan::Plan) -> Method {
-    use tb_plan::PlanMethod;
-    match &plan.method {
-        PlanMethod::Parallel {
-            threads,
-            streaming_stores,
-        } => Method::Parallel {
-            threads: *threads,
-            streaming_stores: *streaming_stores,
-        },
-        PlanMethod::Pipelined(_) => Method::Pipelined(plan.pipeline_config().unwrap()),
-        PlanMethod::Compressed(_) => Method::PipelinedCompressed(plan.pipeline_config().unwrap()),
-        PlanMethod::Wavefront { threads } => Method::Wavefront { threads: *threads },
-        PlanMethod::Diamond { .. } => Method::Diamond(plan.diamond_config().unwrap()),
-    }
-}
-
 /// Execute one reified [`tb_plan::Plan`] on a persistent runtime.
 /// `simd: false` routes through [`ScalarPath`] — bitwise identical
 /// results, scalar row kernels.
@@ -362,7 +313,7 @@ pub fn run_plan_on<T: Real, Op: StencilOp<T>>(
     initial: Grid3<T>,
     sweeps: usize,
 ) -> Result<(Grid3<T>, RunStats), String> {
-    let method = method_for_plan(plan);
+    let method = plan.method.clone();
     if plan.simd {
         solve_with_on(rt, op, initial, sweeps, method)
     } else {

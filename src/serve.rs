@@ -317,18 +317,25 @@ impl JobOp {
     }
 
     /// Streaming-store code balance (bytes/LUP) at the given element
-    /// width — mirrors [`StencilOp::bytes_per_lup`] without constructing
-    /// the operator ([`VarCoeff7::banded`] would allocate its whole
-    /// coefficient grid just to answer). Streaming is the lowest-traffic
-    /// store mode, which keeps the admission service-floor prediction
-    /// optimistic (see [`tb_model::service_floor_seconds`]).
+    /// width — [`StencilOp::bytes_per_lup`] with the extra read streams
+    /// taken from the operator type's [`StencilOp::EXTRA_READ_STREAMS`],
+    /// so no operator is constructed ([`VarCoeff7::banded`] would
+    /// allocate its whole coefficient grid just to answer). Streaming is
+    /// the lowest-traffic store mode, which keeps the admission
+    /// service-floor prediction optimistic (see
+    /// [`tb_model::service_floor_seconds`]).
     pub fn streaming_bytes_per_lup(&self, element_bytes: usize) -> f64 {
-        // Read + write streams; VarCoeff7 adds one coefficient read.
-        let streams = match self {
-            JobOp::VarCoeff7Banded => 3.0,
-            _ => 2.0,
+        fn extra<Op: StencilOp<f64>>() -> f64 {
+            Op::EXTRA_READ_STREAMS
+        }
+        let extra = match self {
+            JobOp::Jacobi6 | JobOp::PanicForTest => extra::<Jacobi6>(),
+            JobOp::Jacobi7Heat(_) => extra::<Jacobi7>(),
+            JobOp::VarCoeff7Banded => extra::<VarCoeff7<f64>>(),
+            JobOp::Avg27 => extra::<Avg27>(),
         };
-        streams * element_bytes as f64
+        // Read + write streams (no read-for-ownership) plus the extras.
+        (2.0 + extra) * element_bytes as f64
     }
 }
 
@@ -581,7 +588,8 @@ impl std::error::Error for JobError {}
 pub type JobOutcome = Result<(JobPayload, JobReport), JobError>;
 
 struct JobState {
-    done: Mutex<Option<JobOutcome>>,
+    /// The outcome and the instant it was stored.
+    done: Mutex<Option<(JobOutcome, Instant)>>,
     cv: Condvar,
 }
 
@@ -594,7 +602,7 @@ impl JobState {
     }
 
     fn complete(&self, outcome: JobOutcome) {
-        *self.done.lock().expect("job state poisoned") = Some(outcome);
+        *self.done.lock().expect("job state poisoned") = Some((outcome, Instant::now()));
         self.cv.notify_all();
     }
 }
@@ -651,10 +659,15 @@ impl JobHandle {
 
     /// Block until the job finished and take its outcome.
     pub fn wait(self) -> JobOutcome {
+        self.wait_finished().0
+    }
+
+    /// [`JobHandle::wait`], plus the instant the job finished.
+    fn wait_finished(self) -> (JobOutcome, Instant) {
         let mut done = self.state.done.lock().expect("job state poisoned");
         loop {
-            if let Some(outcome) = done.take() {
-                return outcome;
+            if let Some(finished) = done.take() {
+                return finished;
             }
             done = self.state.cv.wait(done).expect("job state poisoned");
         }
@@ -1761,18 +1774,19 @@ mod tests {
         let big = server.submit(job(16, 2)).unwrap();
         let medium = server.submit(job(12, 3)).unwrap();
         server.start();
-        let reports: Vec<JobReport> = [small, big, medium]
+        let finished: Vec<(u64, Instant)> = [small, big, medium]
             .into_iter()
-            .map(|h| h.wait().expect("jobs succeed").1)
+            .map(|h| {
+                let (outcome, at) = h.wait_finished();
+                (outcome.expect("jobs succeed").1.tag, at)
+            })
             .collect();
         // Queue order on start: [small, big, medium]; biggest-first
         // serves big before medium. (small may or may not go first
         // depending on when the slice wakes; order big < medium is the
-        // policy's invariant.)
-        let end_of = |tag: u64| {
-            let r = reports.iter().find(|r| r.tag == tag).unwrap();
-            r.queue_wait + r.service
-        };
+        // policy's invariant.) The one slice completes its jobs one
+        // after another, so the completion instants order them exactly.
+        let end_of = |tag: u64| finished.iter().find(|(t, _)| *t == tag).unwrap().1;
         assert!(
             end_of(2) < end_of(3),
             "biggest job must finish before the medium one"

@@ -5,7 +5,6 @@
 //! deviation is a scheduling/geometry bug, not floating-point noise.
 
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
-use temporal_blocking::stencil::config::GridScheme;
 use temporal_blocking::{solve, Method, PipelineConfig, SyncMode};
 
 fn reference(dims: Dims3, seed: u64, sweeps: usize) -> Grid3<f64> {
@@ -20,7 +19,6 @@ fn cfg(team: usize, teams: usize, upt: usize, sync: SyncMode, block: [usize; 3])
         updates_per_thread: upt,
         block,
         sync,
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: true, // integration tests always run the race auditor
     }
@@ -98,8 +96,7 @@ fn compressed_matrix() {
     let dims = Dims3::cube(24);
     for (team, upt) in [(1, 2), (2, 1), (2, 2), (3, 1)] {
         for sweeps in [2usize, 5, 12] {
-            let mut c = cfg(team, 1, upt, SyncMode::relaxed_default(), [10, 10, 10]);
-            c.scheme = GridScheme::Compressed;
+            let c = cfg(team, 1, upt, SyncMode::relaxed_default(), [10, 10, 10]);
             check(
                 dims,
                 37,

@@ -3,7 +3,6 @@
 use temporal_blocking::dist::{solver, Decomposition, DistSolver, ExchangeMode, LocalExec};
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
 use temporal_blocking::net::{CartComm, SimNet, Universe};
-use temporal_blocking::stencil::config::GridScheme;
 use temporal_blocking::{Avg27, Jacobi6, Jacobi7, PipelineConfig, StencilOp, SyncMode, VarCoeff7};
 
 fn run_and_verify(
@@ -54,7 +53,6 @@ fn hybrid_eight_ranks_pipelined() {
         updates_per_thread: 1,
         block: [8, 8, 8],
         sync: SyncMode::relaxed_default(),
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: true,
     };
@@ -160,7 +158,6 @@ fn overlap_hybrid_pipelined_twelve_ranks() {
         updates_per_thread: 1,
         block: [8, 8, 8],
         sync: SyncMode::relaxed_default(),
-        scheme: GridScheme::TwoGrid,
         layout: Some(layout),
         audit: true,
     };

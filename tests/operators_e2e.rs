@@ -9,7 +9,6 @@
 use temporal_blocking::dist::{solver, Decomposition, DistSolver, LocalExec};
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
 use temporal_blocking::net::{CartComm, Universe};
-use temporal_blocking::stencil::config::GridScheme;
 use temporal_blocking::{
     solve_with, Avg27, DiamondConfig, Jacobi6, Jacobi7, Method, PipelineConfig, StencilOp,
     SyncMode, VarCoeff7,
@@ -22,7 +21,6 @@ fn cfg(team: usize, upt: usize, sync: SyncMode, block: [usize; 3]) -> PipelineCo
         updates_per_thread: upt,
         block,
         sync,
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: true, // integration tests always run the race auditor
     }

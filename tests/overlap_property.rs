@@ -8,7 +8,6 @@ use proptest::prelude::*;
 use temporal_blocking::dist::{solver, Decomposition, DistSolver, ExchangeMode, LocalExec};
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
 use temporal_blocking::net::{CartComm, Universe};
-use temporal_blocking::stencil::config::GridScheme;
 use temporal_blocking::{
     Avg27, DiamondConfig, Jacobi6, Jacobi7, PipelineConfig, Runtime, StencilOp, SyncMode, VarCoeff7,
 };
@@ -130,7 +129,6 @@ fn snapshot_of_neighbor_faces_covers_every_send() {
         updates_per_thread: 1,
         block: [8, 8, 8],
         sync: SyncMode::relaxed_default(),
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: false,
     };

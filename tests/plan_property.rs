@@ -5,8 +5,7 @@
 use std::path::PathBuf;
 
 use temporal_blocking::plan::{
-    CacheEntry, Json, MachineFingerprint, MethodFamily, PipeParams, Plan, PlanCache, PlanKey,
-    PlanMethod,
+    CacheEntry, Json, MachineFingerprint, MethodFamily, Plan, PlanCache, PlanKey,
 };
 use temporal_blocking::prelude::*;
 use temporal_blocking::{solve_tuned_with_on, solve_with, Jacobi6, Method, TuneOptions};
@@ -32,7 +31,7 @@ fn quick_opts(name: &str) -> TuneOptions {
 
 #[test]
 fn plan_json_roundtrips_every_method_variant() {
-    let pipe = PipeParams {
+    let pipe = PipelineConfig {
         team_size: 3,
         n_teams: 2,
         updates_per_thread: 2,
@@ -42,23 +41,22 @@ fn plan_json_roundtrips_every_method_variant() {
             du: 2,
             dt: 4,
         },
+        ..PipelineConfig::small()
     };
     let methods = vec![
-        PlanMethod::Parallel {
+        Method::Sequential,
+        Method::Blocked { block: [9, 7, 5] },
+        Method::Parallel {
             threads: 4,
             streaming_stores: true,
         },
-        PlanMethod::Pipelined(pipe.clone()),
-        PlanMethod::Compressed(PipeParams {
+        Method::Pipelined(pipe.clone()),
+        Method::PipelinedCompressed(PipelineConfig {
             sync: SyncMode::Barrier,
             ..pipe
         }),
-        PlanMethod::Wavefront { threads: 2 },
-        PlanMethod::Diamond {
-            threads: 4,
-            width: 16,
-            threads_per_tile: 2,
-        },
+        Method::Wavefront { threads: 2 },
+        Method::Diamond(DiamondConfig::with_width(4, 16).with_threads_per_tile(2)),
     ];
     for method in methods {
         for simd in [false, true] {
@@ -103,6 +101,36 @@ fn second_tuned_solve_is_a_warm_hit_with_zero_measurements() {
 }
 
 #[test]
+fn caches_with_the_previous_exchange_key_still_replay() {
+    // The previous plan layout stored an `"exchange"` mode in every plan
+    // under the same schema version. Such a file must stay a warm hit.
+    let dims = Dims3::cube(20);
+    let initial: Grid3<f64> = grid::init::random(dims, 9);
+    let rt = Runtime::with_threads(2);
+    let opts = quick_opts("previous-exchange-key.json");
+    let path = opts.cache_path.clone().unwrap();
+    let (want, _, cold) = solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), 4, &opts).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains("\"schema\":1"));
+    let simd = format!("\"simd\":{}", cold.plan.simd);
+    assert!(text.contains(&simd), "{text}");
+    let old = text.replace(&simd, &format!("{simd},\"exchange\":\"sync\""));
+    // A new path, so the solve below reads the file instead of the
+    // shared in-process store the cold tune filled.
+    let old_path = tmp_cache("previous-exchange-key-old.json");
+    std::fs::write(&old_path, old).unwrap();
+    assert_eq!(PlanCache::load(&old_path).len(), 1);
+    let opts = TuneOptions {
+        cache_path: Some(old_path),
+        ..opts
+    };
+    let (got, _, warm) = solve_tuned_with_on(&rt, &Jacobi6, initial, 4, &opts).unwrap();
+    assert_eq!(warm.plan, cold.plan);
+    assert_eq!(warm.measurements, 0);
+    grid::norm::assert_grids_identical(&want, &got, &Region3::whole(dims), "replayed plan");
+}
+
+#[test]
 fn stale_schema_cache_entries_are_rejected() {
     let dims = Dims3::cube(20);
     let initial: Grid3<f64> = grid::init::random(dims, 5);
@@ -140,7 +168,7 @@ fn wrong_dims_cache_entries_are_rejected() {
     cache.store(
         &key,
         CacheEntry {
-            plan: Plan::new(PlanMethod::Wavefront { threads: 2 }),
+            plan: Plan::new(Method::Wavefront { threads: 2 }),
             dims: [64, 64, 64],
             measured_mlups: 1.0,
             predicted_mlups: 1.0,
@@ -151,11 +179,7 @@ fn wrong_dims_cache_entries_are_rejected() {
     cache.store(
         &key,
         CacheEntry {
-            plan: Plan::new(PlanMethod::Diamond {
-                threads: 2,
-                width: 2,
-                threads_per_tile: 1,
-            }),
+            plan: Plan::new(Method::Diamond(DiamondConfig::with_width(2, 2))),
             dims: [dims.nx, dims.ny, dims.nz],
             measured_mlups: 1.0,
             predicted_mlups: 1.0,

@@ -8,7 +8,6 @@
 use proptest::prelude::*;
 
 use temporal_blocking::grid::{init, norm, BlockPartition, Dims3, Grid3, Region3};
-use temporal_blocking::stencil::config::GridScheme;
 use temporal_blocking::stencil::pipeline::PipelinePlan;
 use temporal_blocking::{
     solve, solve_with, Avg27, Jacobi7, Method, PipelineConfig, StencilOp, SyncMode, VarCoeff7,
@@ -33,7 +32,6 @@ fn assert_all_methods_bitwise<Op: StencilOp<f64>>(
         updates_per_thread: 1,
         block,
         sync: SyncMode::relaxed_default(),
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: true,
     };
@@ -162,7 +160,6 @@ proptest! {
             updates_per_thread: upt,
             block: [8, 8, 8],
             sync,
-            scheme: GridScheme::TwoGrid,
             layout: None,
             audit: true,
         };
@@ -191,7 +188,6 @@ proptest! {
             updates_per_thread: upt,
             block: [8, 8, 8],
             sync: SyncMode::relaxed_default(),
-            scheme: GridScheme::Compressed,
             layout: None,
             audit: true,
         };

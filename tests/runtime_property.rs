@@ -13,7 +13,6 @@ use proptest::prelude::*;
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
 use temporal_blocking::net::{CartComm, Universe};
 use temporal_blocking::runtime::Runtime;
-use temporal_blocking::stencil::config::GridScheme;
 use temporal_blocking::{
     solve_with, solve_with_on, Avg27, DiamondConfig, Jacobi6, Jacobi7, Method, PipelineConfig,
     StencilOp, SyncMode, VarCoeff7,
@@ -45,7 +44,6 @@ fn assert_shared_matches_one_shot<Op: StencilOp<f64>>(
         updates_per_thread: upt,
         block: [8, 8, 8],
         sync: SyncMode::relaxed_default(),
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: true,
     };
@@ -142,7 +140,6 @@ fn many_solves_on_one_runtime_reuse_without_leaks() {
         updates_per_thread: 1,
         block: [8, 8, 8],
         sync: SyncMode::relaxed_default(),
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: false,
     };
@@ -214,7 +211,6 @@ fn dist_solver_on_shared_runtimes_matches_serial() {
         updates_per_thread: 1,
         block: [8, 8, 8],
         sync: SyncMode::relaxed_default(),
-        scheme: GridScheme::TwoGrid,
         layout: None,
         audit: false,
     };
